@@ -19,7 +19,6 @@ UnsupportedTailError rather than guessing either way.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -40,6 +39,7 @@ from .tails import (
     GeometricSeq,
     PowerSeq,
     SeqSpan,
+    _floor_log,
     bucket_index,
     factorial,
     pow_delta,
@@ -232,20 +232,6 @@ def _scan_segment(
 # exact rationals; count evaluations are exact integers.
 
 
-def _floor_log_frac(value: Fraction, base: Fraction) -> int:
-    """floor(log_base(value)) for value > 0, base > 1, exactly."""
-    # Seed from integer logs (float(value) may under- or overflow), then
-    # correct exactly.
-    lv = math.log2(value.numerator) - math.log2(value.denominator)
-    lb = max(math.log2(base.numerator) - math.log2(base.denominator), 1e-12)
-    d = int(math.floor(lv / lb))
-    while base**d > value:
-        d -= 1
-    while base ** (d + 1) <= value:
-        d += 1
-    return d
-
-
 def _span_dom(
     x: SeqSpan, y: SeqSpan, q: int, delta: Fraction, h_from: int, offset: int
 ) -> bool:
@@ -291,7 +277,7 @@ def _span_dom(
         if ay < ax:
             return False
         big_r = (Fraction(my.c) / Fraction(mx.c)) * pow_delta(delta, -q)
-        x_lo = _floor_log_frac(big_r, 1 / mx.r)
+        x_lo = _floor_log(big_r, 1 / mx.r)
 
         # gap(h) >= (ay-ax)*Y(h) + ay*floor(log_{1/r} R) - c0 with Y the
         # continuous index envelope of x, nondecreasing in h.

@@ -8,6 +8,7 @@ value is ever approximated by a float.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,17 +25,21 @@ def check_delta(delta: Fraction) -> Fraction:
 
 
 def iroot(x: int, k: int) -> int:
-    """Floor of the k-th root of a nonnegative integer."""
+    """Floor of the k-th root of a nonnegative integer, by integer Newton steps."""
     if x < 0 or k < 1:
         raise ValueError("iroot needs x >= 0, k >= 1")
-    if x in (0, 1) or k == 1:
+    if x < 2 or k == 1:
         return x
-    r = int(round(x ** (1.0 / k)))
-    while r > 0 and r**k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
+    if k == 2:
+        return math.isqrt(x)
+    # Start above the root (x < 2^bits); Newton steps then decrease
+    # monotonically to the floor root and stop there.
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def pow_delta(delta: Fraction, j: int) -> Fraction:
@@ -44,21 +49,56 @@ def pow_delta(delta: Fraction, j: int) -> Fraction:
     return Fraction(delta.denominator**-j, delta.numerator**-j)
 
 
+def _log2(x) -> float:
+    # Integer logs: float(x) may under- or overflow for extreme fractions.
+    return math.log2(x.numerator) - math.log2(x.denominator)
+
+
+def _floor_log(x: Union[int, Fraction], base: Union[int, Fraction]) -> int:
+    """floor(log_base(x)) for rational x > 0 and base > 1, exactly.
+
+    A float estimate from integer logs picks the candidate; exact integer
+    comparisons confirm it. A candidate off by e costs O(log e) comparisons,
+    so the answer never depends on the float's accuracy.
+    """
+    u, v = x.numerator, x.denominator
+    bn, bd = base.numerator, base.denominator
+    if u <= 0 or bn <= bd:
+        raise ValueError(f"floor_log needs x > 0 and base > 1, got {x}, {base}")
+
+    def at_most(d: int) -> bool:  # base^d <= x
+        if d >= 0:
+            return bn**d * v <= u * bd**d
+        return bd**-d * v <= u * bn**-d
+
+    lo = math.floor(_log2(x) / _log2(base))
+    step = 1
+    if at_most(lo):
+        while at_most(lo + step):
+            lo += step
+            step *= 2
+        hi = lo + step
+    else:
+        hi = lo
+        while not at_most(hi - step):
+            hi -= step
+            step *= 2
+        lo = hi - step
+    while hi - lo > 1:  # at_most(lo) and not at_most(hi)
+        mid = (lo + hi) // 2
+        if at_most(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def bucket_index(value: Fraction, delta: Fraction) -> int:
     """The j with delta^(j+1) <= value < delta^j."""
     value = Fraction(value)
     if value <= 0:
         raise ValueError(f"bucket_index needs a positive value, got {value}")
-    # Initial guess from integer logs (float(value) may under- or overflow
-    # for extreme fractions), then correct exactly.
-    lv = math.log2(value.numerator) - math.log2(value.denominator)
-    ld = min(math.log2(delta.numerator) - math.log2(delta.denominator), -1e-12)
-    j = int(math.floor(lv / ld))
-    while value >= pow_delta(delta, j):
-        j -= 1
-    while value < pow_delta(delta, j + 1):
-        j += 1
-    return j
+    return -_floor_log(value, 1 / delta) - 1
 
 
 def ratio_root_lower(x: Fraction, k: int, scale: int = 10**9) -> Fraction:
@@ -67,11 +107,7 @@ def ratio_root_lower(x: Fraction, k: int, scale: int = 10**9) -> Fraction:
         raise ValueError("positive x required")
     if k == 1:
         return x
-    num = iroot(x.numerator * scale**k // x.denominator, k)
-    guess = Fraction(num, scale)
-    if guess > 0 and guess**k > x:  # guard against were-rounding
-        guess = Fraction(num - 1, scale)
-    return guess
+    return Fraction(iroot(x.numerator * scale**k // x.denominator, k), scale)
 
 
 def ratio_root_upper(x: Fraction, k: int, scale: int = 10**9) -> Fraction:
@@ -80,12 +116,9 @@ def ratio_root_upper(x: Fraction, k: int, scale: int = 10**9) -> Fraction:
         raise ValueError("positive x required")
     if k == 1:
         return x
-    num = iroot(x.numerator * scale**k // x.denominator, k)
-    guess = Fraction(num, scale)
-    while guess**k < x:
-        num += 1
-        guess = Fraction(num, scale)
-    return guess
+    guess = Fraction(iroot(x.numerator * scale**k // x.denominator, k), scale)
+    # iroot gives the floor root, so one step of 1/scale up always suffices.
+    return guess if guess**k >= x else guess + Fraction(1, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -142,16 +175,21 @@ def factorial(n: int) -> int:
 
 
 def term_value(model: TailModel, n: int) -> Optional[Fraction]:
-    """Exact value of term n, or None when it is irrational (fractional p)."""
+    """Exact value of term n, or None when it is irrational.
+
+    With p = a/b in lowest terms, n^(-p) is rational exactly when n is a
+    perfect b-th power.
+    """
     if n < 1:
         raise ValueError("model index starts at 1")
     if isinstance(model, GeometricSeq):
         return model.c * model.r**n
     if isinstance(model, PowerSeq):
-        p = model.p
-        if p.denominator == 1:
-            return model.c * Fraction(1, n ** p.numerator)
-        return None
+        a, b = model.p.numerator, model.p.denominator
+        m = iroot(n, b)
+        if m**b != n:
+            return None
+        return model.c * Fraction(1, m**a)
     if isinstance(model, FactorialSeq):
         return Fraction(1, factorial(n))
     raise TypeError(f"no terms on {model!r}")
@@ -170,6 +208,26 @@ def term_cmp(model: TailModel, n: int, t: Fraction) -> int:
     return (value > t) - (value < t)
 
 
+def _last_index_ge(model: TailModel, t: Fraction) -> int:
+    """The largest n with term(n) >= t (0 or less when there is none)."""
+    if isinstance(model, PowerSeq):
+        # c * n^(-a/b) >= t  <=>  n^a <= (c/t)^b  <=>  n^a <= floor((c/t)^b)
+        a, b = model.p.numerator, model.p.denominator
+        c = model.c
+        bound = (c.numerator * t.denominator) ** b // (c.denominator * t.numerator) ** b
+        return iroot(bound, a)
+    if isinstance(model, GeometricSeq):
+        # c * r^n >= t  <=>  (1/r)^n <= c/t
+        return _floor_log(model.c / t, 1 / model.r)
+    if isinstance(model, FactorialSeq):
+        # 1/n! >= t  <=>  n! <= floor(1/t)
+        bound = t.denominator // t.numerator
+        while _FACTORIALS[-1] <= bound:
+            factorial(len(_FACTORIALS))
+        return bisect.bisect_right(_FACTORIALS, bound) - 1
+    raise TypeError(f"no terms on {model!r}")
+
+
 def count_ge(model: TailModel, start: int, t: Fraction) -> int:
     """#{n >= start : term(n) >= t} for a decreasing model and t > 0."""
     t = Fraction(t)
@@ -177,21 +235,7 @@ def count_ge(model: TailModel, start: int, t: Fraction) -> int:
         raise ValueError("threshold must be positive")
     if isinstance(model, ZeroTail):
         return 0
-    if term_cmp(model, start, t) < 0:
-        return 0
-    # Find the largest n with term(n) >= t by doubling + bisection.
-    lo = start
-    hi = start + 1
-    while term_cmp(model, hi, t) >= 0:
-        lo = hi
-        hi *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if term_cmp(model, mid, t) >= 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo - start + 1
+    return max(0, _last_index_ge(model, t) - start + 1)
 
 
 @dataclass(frozen=True)
@@ -241,31 +285,26 @@ class SeqSpan:
 # ---------------------------------------------------------------------------
 # The sparse factorial bucket rule: count 1 at indices floor(log_{1/delta} n!)
 
-_SPARSE_CACHE: dict[Fraction, tuple[list[int], int, int]] = {}
+# Per delta: the marks found so far, and the frontier n, n! and the mark of
+# n!, which is the first mark not yet recorded.
+_SPARSE_CACHE: dict[Fraction, tuple[list[int], int, int, int]] = {}
 
 
 def _sparse_indices(delta: Fraction, up_to: int) -> list[int]:
-    """Sorted distinct indices of the rule that are <= up_to."""
-    marks, n, fact = _SPARSE_CACHE.get(delta, ([], 1, 1))
-    q, p = delta.denominator, delta.numerator  # 1/delta = q/p
-    while True:
-        j = _floor_log(fact, q, p)
-        if j > up_to:
-            break
+    """Sorted distinct indices of the rule, covering every index <= up_to.
+
+    The list is the cache's own and may run past up_to; do not modify it.
+    """
+    marks, n, fact, j = _SPARSE_CACHE.get(delta, ([], 1, 1, 0))  # 1! has mark 0
+    base = 1 / delta
+    while j <= up_to:
         if not marks or j > marks[-1]:
             marks.append(j)
         n += 1
         fact *= n
-    _SPARSE_CACHE[delta] = (marks, n, fact)
-    return [j for j in marks if j <= up_to]
-
-
-def _floor_log(value: int, q: int, p: int) -> int:
-    """floor(log_{q/p}(value)) for value >= 1 and q/p > 1."""
-    j = 0
-    while q ** (j + 1) <= value * p ** (j + 1):
-        j += 1
-    return j
+        j = _floor_log(fact, base)
+    _SPARSE_CACHE[delta] = (marks, n, fact, j)
+    return marks
 
 
 def sparse_rule_count(delta: Fraction, k: int, h: int) -> int:
@@ -273,7 +312,7 @@ def sparse_rule_count(delta: Fraction, k: int, h: int) -> int:
     if h < 0 or h < k:
         return 0
     marks = _sparse_indices(delta, h)
-    return sum(1 for j in marks if j >= k)
+    return bisect.bisect_right(marks, h) - bisect.bisect_left(marks, k)
 
 
 def sparse_rule_cum(delta: Fraction, h: int) -> int:

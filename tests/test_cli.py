@@ -286,6 +286,22 @@ def test_decide_inconclusive_exits_two():
     assert code == 2
 
 
+def test_decide_fractional_power_tails_beside_infinite_identity():
+    # I_aleph0 (+) diag(n^(-2/3)) against I_aleph0 (+) diag(2 n^(-2/3)): the
+    # tail certificate takes exact roots of numbers far past float range.
+    def side(c):
+        tail = {"kind": "power_law", "c": c, "p": "2/3"}
+        return {
+            "kind": "direct_sum",
+            "left": {"kind": "scaled_identity", "value": 1, "dim": "aleph0"},
+            "right": {"kind": "compact_diagonal", "prefix": [], "tail": tail},
+        }
+
+    parsed = parse_spec(doc(side("1"), side("2"), relation="strong", q_max=64))
+    report, _, code = run("decide", parsed)
+    assert (report["holds"], report["reason"], code) == (True, "Established", 0)
+
+
 def test_inspect_reports_measures():
     parsed = parse_spec(
         doc(

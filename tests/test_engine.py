@@ -140,6 +140,15 @@ def test_strong_prepended_units_bound_the_envelope():
         assert v.witness.pairing is None  # infinite instance: no finite pairing
 
 
+def test_strong_fractional_power_tail_with_rational_head():
+    # 3 n^(-3/2) has the rational first term 3, so the value path can pull
+    # it ahead of the 2*I_3 block and settle the shift exactly.
+    tail = diag(tail=PowerSeq(F(3), F(3, 2)))
+    v = decide_strong(tail, direct_sum(ScaledIdentity(F(2), Finite(3)), tail))
+    assert v.holds and v.reason == "Established"
+    assert v.witness.shift == 3
+
+
 def test_strong_dimension_mismatch_is_not_comparable():
     v = decide_strong(diag("1/2"), prepend_ones(diag("1/2"), 1))
     assert not v.holds and v.reason == "NotComparable"

@@ -1,14 +1,17 @@
 """Exact bucket indexing, tail-sequence models, and root bounds.
 
 Oracles used here are deliberately naive: direct enumeration with
-``Fraction`` arithmetic, independent of the library's search/bisection code.
+``Fraction`` arithmetic or search over exact term comparisons, independent of
+the library's closed-form counts.
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opequiv import tails
 from opequiv.errors import DeltaRangeError
 from opequiv.tails import (
     FactorialSeq,
@@ -16,6 +19,7 @@ from opequiv.tails import (
     PowerSeq,
     SeqSpan,
     ZeroTail,
+    _floor_log,
     bucket_index,
     check_delta,
     count_ge,
@@ -62,6 +66,33 @@ def check_count_ge(model, start: int, t: F, got: int) -> None:
         return
     assert term_cmp(model, start + got - 1, t) >= 0
     assert term_cmp(model, start + got, t) < 0
+
+
+def count_ge_search_oracle(model, start: int, t: F) -> int:
+    """count_ge by doubling then bisection over exact term comparisons."""
+    if term_cmp(model, start, t) < 0:
+        return 0
+    lo, hi = start, start + 1
+    while term_cmp(model, hi, t) >= 0:
+        lo = hi
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if term_cmp(model, mid, t) >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo - start + 1
+
+
+def floor_log_oracle(x: F, base: F) -> int:
+    """floor(log_base x) by a linear walk from 0."""
+    d, power = 0, F(1)  # power == base**d
+    while power > x:
+        d, power = d - 1, power / base
+    while power * base <= x:
+        d, power = d + 1, power * base
+    return d
 
 
 def sparse_marks_oracle(delta: F, up_to_bucket: int) -> list:
@@ -138,6 +169,45 @@ def test_iroot(x, k):
     assert r**k <= x < (r + 1) ** k
 
 
+@given(st.integers(min_value=0, max_value=2**4096))
+def test_iroot_square_matches_isqrt(x):
+    assert iroot(x, 2) == math.isqrt(x)
+
+
+@given(st.integers(min_value=2**1100, max_value=2**3000), st.integers(min_value=3, max_value=7))
+def test_iroot_brackets_past_float_range(x, k):
+    r = iroot(x, k)  # no float conversion, so no OverflowError
+    assert r**k <= x < (r + 1) ** k
+
+
+def test_iroot_exact_powers():
+    for k in range(2, 8):
+        for r in (2, 3, 10**20 + 7, 2**400 - 1):
+            assert iroot(r**k, k) == r
+            assert iroot(r**k - 1, k) == r - 1
+
+
+@given(
+    st.fractions(min_value=F(1, 10**30), max_value=F(10**30)),
+    st.sampled_from([F(2), F(3, 2), F(10, 9), F(7), F(21, 20)]),
+)
+def test_floor_log_matches_oracle(x, base):
+    assert _floor_log(x, base) == floor_log_oracle(x, base)
+
+
+def test_floor_log_at_exact_powers_and_big_ints():
+    for base in (F(2), F(3, 2), F(10, 9)):
+        for d in range(-40, 41):
+            assert _floor_log(base**d, base) == d
+    big = math.factorial(3000)
+    d = _floor_log(big, F(3))
+    assert 3**d <= big < 3 ** (d + 1)
+    with pytest.raises(ValueError):
+        _floor_log(F(0), F(2))
+    with pytest.raises(ValueError):
+        _floor_log(F(5), F(1))
+
+
 @given(
     st.fractions(min_value=F(1, 1000), max_value=F(1000)),
     st.integers(min_value=1, max_value=5),
@@ -166,6 +236,11 @@ def test_term_values():
     pw = PowerSeq(F(1), F(2))
     assert term_value(pw, 3) == F(1, 9)
     assert term_value(PowerSeq(F(1), F(1, 2)), 5) is None  # irrational
+    # n^(-a/b) is rational exactly when n is a perfect b-th power.
+    assert term_value(PowerSeq(F(3), F(3, 2)), 1) == 3
+    assert term_value(PowerSeq(F(3), F(3, 2)), 4) == F(3, 8)
+    assert term_value(PowerSeq(F(1), F(2, 3)), 27) == F(1, 9)
+    assert term_value(PowerSeq(F(1), F(2, 3)), 26) is None
     assert term_value(FactorialSeq(), 4) == F(1, 24)
 
 
@@ -230,6 +305,26 @@ def test_count_ge_matches_oracle(model, start, t):
         assert term_cmp(model, start, t) < 0
     else:
         check_count_ge(model, start, t, got)
+
+
+frac_powers = st.builds(
+    PowerSeq,
+    st.fractions(min_value=F(1, 8), max_value=F(8)),
+    st.builds(F, st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=5)),
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(models, frac_powers),
+    st.integers(min_value=1, max_value=9),
+    st.one_of(
+        st.fractions(min_value=F(1, 10**30), max_value=F(10**3)),
+        st.builds(lambda d, j: d**j, st.sampled_from([F(1, 2), F(2, 3), F(9, 10)]), st.integers(0, 400)),
+    ),
+)
+def test_count_ge_matches_search_oracle(model, start, t):
+    assert count_ge(model, start, t) == count_ge_search_oracle(model, start, t)
 
 
 def test_count_ge_examples():
@@ -297,6 +392,25 @@ def test_sparse_rule_matches_oracle(delta):
         for h in range(k, top, 7):
             expected = sum(1 for m in marks if k <= m <= h)
             assert sparse_rule_count(delta, k, h) == expected
+
+
+def test_sparse_rule_repeat_computes_no_floor_log(monkeypatch):
+    delta = F(5, 11)  # a base no other test uses, so the cache starts cold
+    calls = []
+    real = tails._floor_log
+
+    def counting(x, base):
+        calls.append(x)
+        return real(x, base)
+
+    monkeypatch.setattr(tails, "_floor_log", counting)
+    first = sparse_rule_count(delta, 0, 300)
+    assert calls
+    calls.clear()
+    assert sparse_rule_count(delta, 0, 300) == first
+    assert sparse_rule_count(delta, 5, 120) == sum(1 for m in sparse_marks_oracle(delta, 120) if m >= 5)
+    assert calls == []
+    assert first == len(sparse_marks_oracle(delta, 300))
 
 
 def test_sparse_rule_examples():
