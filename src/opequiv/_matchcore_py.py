@@ -1,36 +1,48 @@
-"""Pure-Python matching kernels.
+"""Matching kernels.
 
-Twin of the compiled extension module ``_matchcore``; same contracts,
-byte-identical outputs. Both operate on plain integer arrays so the caller
-owns all bucket-index bookkeeping.
+Both operate on plain integer arrays so the caller owns all bucket-index
+bookkeeping. Both run in near-linear time in the size of their input.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import accumulate
 
 BACKEND = "python"
+
+
+def _clamped_prefix(x, lo: int, top: int) -> list[int]:
+    """[P(i) for i in lo..top] where P(i) = sum(x[0..i-1]), entries outside x zero."""
+    p = list(accumulate(x, initial=0))
+    last = len(x)
+    return [p[min(max(i, 0), last)] for i in range(lo, top + 1)]
 
 
 def verify_windows(a, b, k0: int, k1: int, hi: int):
     """First (k, l) with sum(a[k..k+l-1]) > sum(b[k-1..k+l]), else None.
 
-    ``a`` and ``b`` are equal-length sequences of nonnegative ints indexed in
-    array coordinates; windows are scanned for k in [k0, k1], l in
-    [1, hi - k + 1]; out-of-range entries count as zero.
+    ``a`` and ``b`` are sequences of nonnegative ints indexed in array
+    coordinates; windows are scanned for k in [k0, k1], l in [1, hi - k + 1],
+    lexicographically; out-of-range entries count as zero.
+
+    With prefix sums PA, PB the inequality for window (k, l) reads
+    D(k + l) > C(k), where D(e) = PA(e) - PB(e + 1) and C(k) = PA(k) - PB(k - 1).
+    A suffix maximum of D finds the first failing k in one pass; one more
+    pass over l finds its first failing length.
     """
-    n = len(a)
-    pa = [0] * (n + 1)
-    pb = [0] * (n + 1)
-    for i in range(n):
-        pa[i + 1] = pa[i] + a[i]
-        pb[i + 1] = pb[i] + b[i]
-    for k in range(k0, k1 + 1):
-        for l in range(1, hi - k + 2):
-            left = pa[min(k + l, n)] - pa[max(k, 0)]
-            right = pb[min(k + l + 1, n)] - pb[max(k - 1, 0)]
-            if left > right:
-                return (k, l)
+    base = k0 - 1
+    pa = _clamped_prefix(a, base, hi + 2)
+    pb = _clamped_prefix(b, base, hi + 2)
+    # d[i] = D(k0 + 1 + i) for e in [k0 + 1, hi + 1]; best[i] = max(d[i:]).
+    d = [pa[e - base] - pb[e + 1 - base] for e in range(k0 + 1, hi + 2)]
+    best = list(accumulate(reversed(d), max))[::-1]
+    for k in range(k0, min(k1, hi) + 1):
+        c = pa[k - base] - pb[k - 1 - base]
+        if best[k - k0] > c:
+            for l in range(1, hi - k + 2):
+                if d[k + l - k0 - 1] > c:
+                    return (k, l)
     return None
 
 

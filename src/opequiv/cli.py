@@ -32,11 +32,12 @@ from .engine import (
     RELATION_EXTENSION,
     RELATION_STRONG,
     Verdict,
+    bucket_function,
     decide_extension_family,
     decide_strong,
 )
 from .errors import HypothesisViolationError, SchemaError, SpecError
-from .matcher import BucketFunction, MatchMode, MatchResult, build_matching
+from .matcher import MatchMode, MatchResult, build_matching
 from .spectral import (
     Buckets,
     BucketMeasure,
@@ -59,7 +60,6 @@ from .tails import (
     SeqSpan,
     TailModel,
     ZeroTail,
-    pow_delta,
 )
 
 _RELATIONS = (RELATION_STRONG, RELATION_EXTENSION)
@@ -472,24 +472,15 @@ def _decide(doc: SpecDocument) -> tuple[dict, str, int]:
     return verdict_to_json(verdict), text, code
 
 
-def _bucket_function(spec: OperatorSpec, nm: Optional[tuple], label: str) -> BucketFunction:
-    if not isinstance(spec, Buckets):
-        raise SpecError(f"match needs bucketed operands; {label} has kind {type(spec).__name__}")
-    m = spec.measure
-    if m.atoms or m.aleph_points():
-        raise SpecError(f"match needs finitely many finite buckets on {label}")
-    counts = {j: c.n for j, c in m.buckets.items()}
-    if nm is not None:
-        n_cut, cap = nm
-    else:
-        n_cut = 1
-        cap = max(Fraction(1), pow_delta(m.delta, min(counts))) if counts else Fraction(1)
-    return BucketFunction(delta=m.delta, counts=counts, N=n_cut, M=cap)
-
-
 def _match(doc: SpecDocument) -> tuple[dict, str, int]:
-    tau = _bucket_function(doc.t, doc.bucket_nm[0], "T")
-    sigma = _bucket_function(doc.s, doc.bucket_nm[1], "S")
+    fns = []
+    for label, spec, nm in (("T", doc.t, doc.bucket_nm[0]), ("S", doc.s, doc.bucket_nm[1])):
+        if not isinstance(spec, Buckets):
+            raise SpecError(
+                f"match needs bucketed operands; {label} has kind {type(spec).__name__}"
+            )
+        fns.append(bucket_function(spec.measure, label, nm))
+    tau, sigma = fns
     try:
         result = build_matching(tau, sigma, doc.match_mode)
     except HypothesisViolationError as e:

@@ -399,29 +399,29 @@ def _value_pair_witness(
     return EquivalenceWitness(delta_prime=dp, extension_side=side, pairing=pairing)
 
 
-def _bucket_function(
-    m: BucketMeasure, grid: int, n_cutoff: int
+def bucket_function(
+    m: BucketMeasure, label: str, nm: Optional[tuple] = None
 ) -> BucketFunction:
+    """The matcher's view of a finite bucket measure.
+
+    ``nm`` is an explicit (N, M); by default N = 1 and M is the top of the
+    highest occupied bucket, at least 1.
+    """
     if m.atoms or m.aleph_points():
-        raise SpecError("element pairing needs finitely many finite buckets")
-    counts: dict[int, int] = {}
-    for j, c in m.buckets.items():
-        jc = j // grid if grid > 1 else j
-        counts[jc] = counts.get(jc, 0) + c.n
-    delta_c = pow_delta(m.delta, grid) if grid > 1 else m.delta
-    n_c = max(1, -(-n_cutoff // grid)) if grid > 1 else max(1, n_cutoff)
-    big_m = Fraction(1)
-    if counts:
-        big_m = max(Fraction(1), pow_delta(delta_c, min(counts)))
-    return BucketFunction(delta=delta_c, counts=counts, N=n_c, M=big_m)
+        raise SpecError(f"match needs finitely many finite buckets on {label}")
+    counts = {j: c.n for j, c in m.buckets.items()}
+    if nm is not None:
+        n_cut, cap = nm
+    else:
+        n_cut = 1
+        cap = max(Fraction(1), pow_delta(m.delta, min(counts))) if counts else Fraction(1)
+    return BucketFunction(delta=m.delta, counts=counts, N=n_cut, M=cap)
 
 
-def _matcher_witness(
-    ma: BucketMeasure, mb: BucketMeasure, grid: int, n_cutoff: int
-) -> Optional[EquivalenceWitness]:
+def _matcher_witness(ma: BucketMeasure, mb: BucketMeasure) -> Optional[EquivalenceWitness]:
     try:
-        tau = _bucket_function(ma, grid, n_cutoff)
-        sigma = _bucket_function(mb, grid, n_cutoff)
+        tau = bucket_function(ma, "T")
+        sigma = bucket_function(mb, "S")
         result = build_matching(tau, sigma, MatchMode.ONE_SIDED)
     except (SpecError, HypothesisViolationError):
         return None
@@ -637,7 +637,7 @@ def build_witness(
     if _is_bucket_only(tt) and _is_bucket_only(ss):
         ma = modulus_data(tt, p.delta, p.svd_tol)
         mb = modulus_data(ss, p.delta, p.svd_tol)
-        got = _matcher_witness(ma, mb, grid=1, n_cutoff=1)
+        got = _matcher_witness(ma, mb)
         if got is not None:
             return got
         return _coarse_witness(ma, mb, p.delta)

@@ -7,30 +7,22 @@ in [delta^(j+1), delta^j), all values bounded by M, with a threshold bucket N.
 padding on the deficient side when allowed) whose pairwise value ratios are
 guaranteed within [delta', 1/delta'].
 
-The inner loops (window scans, the distinct-representatives matching) run in a
-compiled kernel when available; set OPEQUIV_PURE_KERNEL=1 to force the
-pure-Python twin.
+The inner loops (the window scan and the distinct-representatives matching)
+live in ``_matchcore_py`` and run in near-linear time; the fixed point that
+splits the elements follows each chain of the two injections once.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional
 
+from . import _matchcore_py as _core
 from .cardinal import Cardinal, Finite, ZERO
 from .errors import DeltaMismatchError, HypothesisViolationError, SpecError
 from .tails import check_delta, pow_delta
-
-if os.environ.get("OPEQUIV_PURE_KERNEL") == "1":
-    from . import _matchcore_py as _core
-else:
-    try:
-        from . import _matchcore as _core  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _matchcore_py as _core
 
 KERNEL_BACKEND: str = _core.BACKEND
 
@@ -209,25 +201,27 @@ def build_matching(
     phi = _sdr(t_deep, s_all)  # distinct representatives in 3-bucket windows
     psi = _sdr(s_deep, t_all)
 
-    # Least fixed point of E -> T \ psi[(S \ phi[E cap T']) cap S'].
-    t_deep_set = set(t_deep)
-    s_deep_set = set(s_deep)
+    # Least fixed point of E -> T \ psi[(S \ phi[E cap T']) cap S']. Both maps
+    # are injective, so it is T \ psi[S'] closed under t -> psi[phi[t]]
+    # (t in T', phi[t] in S'): follow each chain from an element psi misses.
+    psi_inv = {v: k for k, v in psi.items()}
     e0: set = set()
-    while True:
-        image = {phi[t] for t in e0 & t_deep_set}
-        nxt = set(t_all) - {psi[s] for s in s_deep_set if s not in image}
-        if nxt == e0:
-            break
-        e0 = nxt
+    for t in t_all:
+        if t in psi_inv:
+            continue
+        while t not in e0:
+            e0.add(t)
+            s = phi.get(t)
+            if s not in psi:
+                break
+            t = psi[s]
 
     f1 = [t for t in t_all if t not in e0]
-    f2 = sorted(e0 & t_deep_set)
-    f3 = sorted(e0 - t_deep_set)
+    f2 = [t for t in t_deep if t in e0]
+    f3 = [t for t in t_all if t in e0 and t not in phi]
     g2 = {phi[t] for t in f2}
-    g1 = {s for s in s_deep if s not in g2}
-    g3 = sorted(s for s in s_all if s not in g2 and s not in g1)
+    g3 = [s for s in s_all if s not in g2 and s not in psi]
 
-    psi_inv = {v: k for k, v in psi.items()}
     pairs: list[tuple[tuple[int, int], tuple[int, int]]] = []
     for t in f1:
         pairs.append((t, psi_inv[t]))

@@ -22,6 +22,7 @@ from opequiv import (
     window_count,
 )
 from opequiv import _matchcore_py
+from opequiv.matcher import _sdr
 
 HALF = F(1, 2)
 ONE_SIDED = MatchMode.ONE_SIDED
@@ -257,41 +258,111 @@ def test_strict_success_forces_equal_totals(pair):
 
 
 # ---------------------------------------------------------------------------
-# Kernel twins
+# Fixed point
+
+
+def oracle_partition(tau, sigma, mode):
+    """The iterate-until-stable least fixed point, and the partition it induces.
+
+    Returns (f1, f2, f3, g3, phi, psi_inv): T elements matched by psi^-1, T'
+    elements matched by phi, the leftover shallow elements of each side
+    (sorted), and the two maps.
+    """
+    all_k = mode is STRICT
+    t_all, s_all = tau.elements(), sigma.elements()
+    t_deep = t_all if all_k else [e for e in t_all if e[0] >= tau.N]
+    s_deep = s_all if all_k else [e for e in s_all if e[0] >= sigma.N]
+    phi = _sdr(t_deep, s_all)
+    psi = _sdr(s_deep, t_all)
+    t_deep_set, s_deep_set = set(t_deep), set(s_deep)
+    e0 = set()
+    while True:
+        image = {phi[t] for t in e0 & t_deep_set}
+        nxt = set(t_all) - {psi[s] for s in s_deep_set if s not in image}
+        if nxt == e0:
+            break
+        e0 = nxt
+    f1 = [t for t in t_all if t not in e0]
+    f2 = sorted(e0 & t_deep_set)
+    f3 = sorted(e0 - t_deep_set)
+    g2 = {phi[t] for t in f2}
+    g1 = {s for s in s_deep if s not in g2}
+    g3 = sorted(s for s in s_all if s not in g2 and s not in g1)
+    psi_inv = {v: k for k, v in psi.items()}
+    return f1, f2, f3, g3, phi, psi_inv
+
+
+@given(function_pairs(), st.sampled_from([ONE_SIDED, STRICT]))
+@settings(max_examples=200)
+def test_fixed_point_matches_iterated_oracle(pair, mode):
+    tau, sigma = pair
+    if not verify_hypotheses(tau, sigma, mode is STRICT):
+        return
+    r = build_matching(tau, sigma, mode)
+    f1, f2, f3, g3, phi, psi_inv = oracle_partition(tau, sigma, mode)
+    pairs = [(t, psi_inv[t]) for t in f1] + [(t, phi[t]) for t in f2]
+    pairs += list(zip(f3, g3))
+    n_cross = min(len(f3), len(g3))
+    base_t, base_s = tau.counts.get(-1, 0), sigma.counts.get(-1, 0)
+    pairs += [((-1, base_t + i), s) for i, s in enumerate(g3[n_cross:])]
+    pairs += [(t, (-1, base_s + i)) for i, t in enumerate(f3[n_cross:])]
+    case = "II" if len(f3) < len(g3) else "III" if len(g3) < len(f3) else "I"
+    assert r.pairing == tuple(sorted(pairs))
+    assert r.case_tag == case
+    assert r.padding == Finite(abs(len(f3) - len(g3)))
+
+
+# ---------------------------------------------------------------------------
+# Kernels
 
 
 def test_backend_label():
-    assert KERNEL_BACKEND in ("compiled", "python")
+    assert KERNEL_BACKEND == "python"
     assert _matchcore_py.BACKEND == "python"
 
 
-compiled = pytest.importorskip("opequiv._matchcore")
+def oracle_windows(a, b, k0, k1, hi):
+    """Brute-force window scan with explicit zero padding outside the arrays."""
+
+    def at(x, i):
+        return x[i] if 0 <= i < len(x) else 0
+
+    for k in range(k0, k1 + 1):
+        for l in range(1, hi - k + 2):
+            left = sum(at(a, i) for i in range(k, k + l))
+            right = sum(at(b, i) for i in range(k - 1, k + l + 1))
+            if left > right:
+                return (k, l)
+    return None
 
 
 @given(
-    st.lists(st.integers(0, 5), min_size=1, max_size=12),
-    st.lists(st.integers(0, 5), min_size=1, max_size=12),
+    st.lists(st.integers(0, 5), max_size=10),
+    st.lists(st.integers(0, 5), max_size=10),
+    st.sampled_from([-2, 0, 1]),
     st.data(),
 )
-@settings(max_examples=200)
-def test_verify_windows_kernels_agree(a, b, data):
+@settings(max_examples=300)
+def test_verify_windows_matches_padded_oracle(a, b, k0, data):
     n = min(len(a), len(b))
     a, b = a[:n], b[:n]
-    k0 = data.draw(st.integers(0, n - 1))
-    k1 = data.draw(st.integers(k0, n - 1))
-    hi = data.draw(st.integers(k0, n - 1))
-    assert compiled.verify_windows(a, b, k0, k1, hi) == _matchcore_py.verify_windows(
-        a, b, k0, k1, hi
-    )
+    # hi and k1 may run past the arrays; k1 may also stop before k0.
+    k1 = data.draw(st.integers(k0 - 1, n + 3))
+    hi = data.draw(st.integers(k0 - 1, n + 3))
+    assert _matchcore_py.verify_windows(a, b, k0, k1, hi) == oracle_windows(a, b, k0, k1, hi)
 
 
-@given(
-    st.lists(st.integers(-2, 8), max_size=10).map(sorted),
-    st.lists(st.integers(-2, 8), max_size=12).map(sorted),
-    st.integers(0, 2),
-)
-@settings(max_examples=200)
-def test_sdr_kernels_agree(t_buckets, s_buckets, width):
-    got = compiled.sdr_match(t_buckets, s_buckets, width)
-    want = _matchcore_py.sdr_match(t_buckets, s_buckets, width)
-    assert list(got) == list(want)
+def test_verify_windows_start_past_the_arrays():
+    # The scan runs on past n = 2, where every entry counts as zero.
+    assert _matchcore_py.verify_windows([0, 1], [1, 0], 0, 4, 4) is None
+    assert _matchcore_py.verify_windows([1, 1], [0, 0], 3, 5, 6) is None
+
+
+def test_verify_windows_negative_window_end_counts_zero():
+    # For k + l < 0 the window lies left of the arrays and sums to zero; it
+    # must not wrap round to a's last entry. The first violation from k = -3
+    # is the window that first reaches a[2].
+    a, b = [0, 0, 5], [0, 0, 0]
+    assert oracle_windows(a, b, -3, 0, 2) == (-3, 6)
+    assert _matchcore_py.verify_windows(a, b, -3, 0, 2) == (-3, 6)
+    assert _matchcore_py.verify_windows([0, 7], [0, 0], -4, -3, -2) is None
