@@ -50,7 +50,7 @@ from .spectral import (
     ScaledIdentity,
     SeqRay,
     SparseRay,
-    _model_json,
+    model_json,
     modulus_data,
 )
 from .tails import (
@@ -358,7 +358,7 @@ def spec_to_json(spec: OperatorSpec, nm: Optional[tuple] = None) -> dict:
     if isinstance(spec, CompactDiagonal):
         out = {"kind": "compact_diagonal", "prefix": [_frac_json(v) for v in spec.prefix]}
         if not isinstance(spec.tail, ZeroTail):
-            out["tail"] = _model_json(spec.tail)
+            out["tail"] = model_json(spec.tail)
         if spec.kernel_dim != ZERO:
             out["kernel"] = card_to_json(spec.kernel_dim)
         if spec.cokernel_dim != ZERO:

@@ -31,7 +31,6 @@ from .spectral import (
     OperatorSpec,
     ValueInventory,
     flatten_values,
-    kernel_condition,
     modulus_data,
     truncate_inventory,
 )
@@ -308,6 +307,15 @@ def _shift_candidates(t: _Seq, s: _Seq) -> list[int]:
     return out
 
 
+def _first_shift(t: _Seq, s: _Seq) -> Optional[tuple[int, Fraction]]:
+    """(m, d') for the first candidate shift with a bounded pairing, or None."""
+    for m in _shift_candidates(t, s):
+        env = _shift_envelope(t, s, m, allow_head=True)
+        if env is not None:
+            return (m, env)
+    return None
+
+
 def comparable_after_shift(
     t: OperatorSpec, s: OperatorSpec, prefix_check: int = 256
 ) -> Optional[tuple[int, Fraction]]:
@@ -321,22 +329,16 @@ def comparable_after_shift(
     inv_s = flatten_values(s)
     if inv_t.aleph_values or inv_s.aleph_values:
         raise SpecError("shift comparability is defined for compact diagonal data")
-    nt = _normalize(inv_t, prefix_check)
-    ns = _normalize(inv_s, prefix_check)
-    for m in _shift_candidates(nt, ns):
-        env = _shift_envelope(nt, ns, m, allow_head=True)
-        if env is not None:
-            return (m, env)
-    return None
+    return _first_shift(_normalize(inv_t, prefix_check), _normalize(inv_s, prefix_check))
 
 
 def _m0_envelope(
-    a: OperatorSpec, b: OperatorSpec, prefix_check: int
+    a: OperatorSpec, b: OperatorSpec, p: EngineParams
 ) -> Optional[tuple[Fraction, int]]:
     """Identity-pairing envelope (no extension allowed) plus the structural
     alignment offset, for compact pairs."""
-    nt = _normalize(flatten_values(a), prefix_check)
-    ns = _normalize(flatten_values(b), prefix_check)
+    nt = _normalize(flatten_values(a, p.svd_tol), p.prefix_check)
+    ns = _normalize(flatten_values(b, p.svd_tol), p.prefix_check)
     env = _shift_envelope(nt, ns, 0, allow_head=False)
     if env is None:
         return None
@@ -455,12 +457,12 @@ def decide_strong(
     """Equality up to invertible factors on both sides."""
     p = params or EngineParams()
     try:
-        if not kernel_condition(a, b, p.delta, p.svd_tol):
-            return Verdict(RELATION_STRONG, False, REASON_KERNEL)
         ma = modulus_data(a, p.delta, p.svd_tol)
         mb = modulus_data(b, p.delta, p.svd_tol)
+        if (ma.kernel_dim, ma.cokernel_dim) != (mb.kernel_dim, mb.cokernel_dim):
+            return Verdict(RELATION_STRONG, False, REASON_KERNEL)
         if ma.is_compact() and mb.is_compact():
-            got = _m0_envelope(a, b, p.prefix_check)
+            got = _m0_envelope(a, b, p)
             if got is None:
                 return Verdict(RELATION_STRONG, False, REASON_NOT_COMPARABLE)
             env, shift = got
@@ -500,10 +502,10 @@ def decide_extension_family(
     p = params or EngineParams()
     rel = RELATION_EXTENSION
     try:
-        if not kernel_condition(a, b, p.delta, p.svd_tol):
-            return Verdict(rel, False, REASON_KERNEL)
         ma = modulus_data(a, p.delta, p.svd_tol)
         mb = modulus_data(b, p.delta, p.svd_tol)
+        if (ma.kernel_dim, ma.cokernel_dim) != (mb.kernel_dim, mb.cokernel_dim):
+            return Verdict(rel, False, REASON_KERNEL)
 
         if is_finite(ma.total_mass()) and is_finite(mb.total_mass()):
             witness = _value_pair_witness(a, b, p.svd_tol) or _coarse_witness(
@@ -527,7 +529,7 @@ def decide_extension_family(
             )
 
         if ma.is_compact() and mb.is_compact():
-            got = _m0_envelope(a, b, p.prefix_check)
+            got = _m0_envelope(a, b, p)
             if got is None:
                 return Verdict(rel, False, REASON_NOT_COMPARABLE)
             env, shift = got
@@ -549,23 +551,22 @@ def decide_extension_family(
             c_star = max(j for j, _ in noncompact.aleph_points()) + 1
             inv_a = truncate_inventory(flatten_values(a, p.svd_tol), p.delta, c_star)
             inv_b = truncate_inventory(flatten_values(b, p.svd_tol), p.delta, c_star)
-            nt = _normalize(inv_a, p.prefix_check)
-            ns = _normalize(inv_b, p.prefix_check)
-            for m in _shift_candidates(nt, ns):
-                env = _shift_envelope(nt, ns, m, allow_head=True)
-                if env is not None:
-                    witness = EquivalenceWitness(delta_prime=env, shift=m)
-                    return Verdict(
-                        rel,
-                        True,
-                        REASON_ESTABLISHED,
-                        witness,
-                        notes=(
-                            "values at or above the infinite-bucket cutoff are "
-                            "absorbed by the infinite identity component",
-                        ),
-                    )
-            return Verdict(rel, False, REASON_NOT_COMPARABLE)
+            got = _first_shift(
+                _normalize(inv_a, p.prefix_check), _normalize(inv_b, p.prefix_check)
+            )
+            if got is None:
+                return Verdict(rel, False, REASON_NOT_COMPARABLE)
+            m, env = got
+            return Verdict(
+                rel,
+                True,
+                REASON_ESTABLISHED,
+                EquivalenceWitness(delta_prime=env, shift=m),
+                notes=(
+                    "values at or above the infinite-bucket cutoff are "
+                    "absorbed by the infinite identity component",
+                ),
+            )
 
         out = condition_s_tilde_outcome(ma, mb, p.q_max, p.n_max)
         if out.present:

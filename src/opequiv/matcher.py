@@ -58,12 +58,10 @@ class BucketFunction:
                 raise SpecError(f"bucket count must be a nonnegative integer, got {c!r}")
             if c:
                 clean[j] = c
-        for j in clean:
-            # Bucket j holds values >= delta^(j+1); all values are <= M.
-            if pow_delta(self.delta, j + 1) > self.M:
-                raise SpecError(
-                    f"bucket {j} lies entirely above the value bound M={self.M}"
-                )
+        # Bucket j holds values >= delta^(j+1), which falls as j grows, and
+        # all values are <= M: only the lowest bucket can break the bound.
+        if clean and pow_delta(self.delta, min(clean) + 1) > self.M:
+            raise SpecError(f"bucket {min(clean)} lies entirely above the value bound M={self.M}")
         object.__setattr__(self, "counts", clean)
 
     def total(self) -> int:

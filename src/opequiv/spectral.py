@@ -11,6 +11,7 @@ bucketing, direct sums, and window counts stay exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
@@ -296,7 +297,7 @@ class BucketMeasure:
                 tails.append(
                     {
                         "kind": "sequence",
-                        "model": _model_json(span.model),
+                        "model": model_json(span.model),
                         "model_start": span.start,
                         "multiplicity": span.mult,
                     }
@@ -306,7 +307,7 @@ class BucketMeasure:
         return out
 
 
-def _model_json(model: TailModel) -> dict:
+def model_json(model: TailModel) -> dict:
     if isinstance(model, ZeroTail):
         return {"kind": "zero"}
     if isinstance(model, GeometricSeq):
@@ -369,8 +370,10 @@ class FiniteMatrix:
     def n_cols(self) -> int:
         return len(self.rows[0])
 
-    def array(self) -> np.ndarray:
-        return np.array(self.rows)
+    @cached_property
+    def singular_values(self) -> tuple[float, ...]:
+        """Nonincreasing singular values, computed once per matrix."""
+        return tuple(float(s) for s in np.linalg.svd(np.array(self.rows), compute_uv=False))
 
 
 @dataclass(frozen=True)
@@ -438,33 +441,35 @@ def direct_sum(a: OperatorSpec, b: OperatorSpec) -> OperatorSpec:
 # Reduction to modulus data
 
 
+def _kept_singular_values(
+    spec: FiniteMatrix, svd_tol: Fraction
+) -> tuple[list[float], float]:
+    """The singular values above svd_tol * sigma_max (the rank rule), and that bar."""
+    sigma = spec.singular_values
+    thresh = float(svd_tol) * (sigma[0] if sigma else 0.0)
+    return [s for s in sigma if s > thresh], thresh
+
+
 def _matrix_measure(
     spec: FiniteMatrix, delta: Fraction, svd_tol: Fraction
 ) -> BucketMeasure:
-    mat = spec.array()
-    sigma = np.linalg.svd(mat, compute_uv=False)
-    smax = float(sigma[0]) if len(sigma) else 0.0
-    thresh = float(svd_tol) * smax
+    kept, thresh = _kept_singular_values(spec, svd_tol)
+    tol = Fraction(thresh)
     buckets: dict[int, Cardinal] = {}
-    rank = 0
-    for s in sigma:
-        s = float(s)
-        if s <= thresh:
-            continue
-        rank += 1
+    for s in kept:
         value = Fraction(s)
         j = bucket_index(value, delta)
         # A value indistinguishable from a bucket edge cannot be bucketed.
         for edge_exp in (j, j + 1):
             edge = pow_delta(delta, edge_exp)
-            if abs(value - edge) <= Fraction(thresh) and value != edge:
+            if abs(value - edge) <= tol and value != edge:
                 raise BoundaryAmbiguityError(s, float(edge))
         buckets[j] = card_add(buckets.get(j, ZERO), Finite(1))
     return BucketMeasure(
         delta=delta,
         buckets=buckets,
-        kernel_dim=Finite(spec.n_cols - rank),
-        cokernel_dim=Finite(spec.n_rows - rank),
+        kernel_dim=Finite(spec.n_cols - len(kept)),
+        cokernel_dim=Finite(spec.n_rows - len(kept)),
     )
 
 
@@ -645,17 +650,10 @@ def flatten_values(
             walk(node.right)
             return
         if isinstance(node, FiniteMatrix):
-            mat = node.array()
-            sigma = np.linalg.svd(mat, compute_uv=False)
-            smax = float(sigma[0]) if len(sigma) else 0.0
-            thresh = float(svd_tol) * smax
-            rank = 0
-            for s in sigma:
-                if float(s) > thresh:
-                    rank += 1
-                    values.append(Fraction(float(s)))
-            kernel = card_add(kernel, Finite(node.n_cols - rank))
-            cokernel = card_add(cokernel, Finite(node.n_rows - rank))
+            kept, _thresh = _kept_singular_values(node, svd_tol)
+            values.extend(Fraction(s) for s in kept)
+            kernel = card_add(kernel, Finite(node.n_cols - len(kept)))
+            cokernel = card_add(cokernel, Finite(node.n_rows - len(kept)))
             return
         if isinstance(node, CompactDiagonal):
             values.extend(node.prefix)

@@ -118,6 +118,21 @@ def test_schema_violations_carry_pointer_paths(document, path_fragment):
 def test_float_tolerance_option_is_accepted():
     parsed = parse_spec(doc(UNIT, UNIT, svd_tol=1e-6))
     assert parsed.params.svd_tol == Fraction(1e-6)
+    # The tolerance reaches the value path of a compact pair: both matrices
+    # have rank 1 at 10^-6.
+    parsed = parse_spec(
+        doc(
+            {"kind": "matrix", "rows": [[1, 0], [0, 1e-7]]},
+            {"kind": "matrix", "rows": [[1, 0], [0, 0]]},
+            relation="strong",
+            svd_tol="1/1000000",
+        )
+    )
+    report, _, code = run("decide", parsed)
+    assert (report["reason"], code) == ("Established", 0)
+    assert report["witness"]["delta_prime"] == "1"
+    assert report["witness"]["shift"] == 0
+    assert report["witness"]["pairing"] == [[1, 1]]
 
 
 # ---------------------------------------------------------------------------

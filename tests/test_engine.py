@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,6 +158,40 @@ def test_strong_dimension_mismatch_is_not_comparable():
 def test_strong_incompatible_tails():
     v = decide_strong(inv_n(), inv_fact())
     assert not v.holds and v.reason == "NotComparable"
+
+
+def test_strong_compact_pair_honours_svd_tol():
+    # At svd_tol 10^-6 both matrices have rank 1: the 1e-7 singular value of T
+    # is dropped by the measure and by the value inventory alike.
+    t = FiniteMatrix(((1, 0), (0, 1e-7)))
+    s = FiniteMatrix(((1, 0), (0, 0)))
+    p = EngineParams(svd_tol=F(1, 10**6))
+    v = decide_strong(t, s, p)
+    assert v.holds and v.reason == "Established"
+    assert v.witness.delta_prime == F(1)
+    assert v.witness.shift == 0
+    assert v.witness.pairing == ((1, 1),)
+    assert decide_extension_family(t, s, p).witness.delta_prime == F(1)
+    # At the default tolerance T has rank 2 and the kernels differ.
+    assert decide_strong(t, s).reason == "KernelMismatch"
+
+
+@pytest.mark.parametrize("decide", [decide_strong, decide_extension_family])
+def test_one_svd_per_matrix_leaf(monkeypatch, decide):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    v = decide(FiniteMatrix(((1, 0), (0, 0.5))), FiniteMatrix(((0.5, 0), (0, 1))))
+    assert v.holds and len(calls) == 2
+    calls.clear()
+    pair = direct_sum(FiniteMatrix(((1,),)), FiniteMatrix(((0.5,),)))
+    v = decide(pair, FiniteMatrix(((0.5, 0), (0, 1))))
+    assert v.holds and len(calls) == 3
 
 
 def test_strong_noncompact_uses_window_condition():

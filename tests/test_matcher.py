@@ -52,6 +52,13 @@ def test_bucket_function_validation():
     with pytest.raises(SpecError):
         bf({-3: 1}, M=F(2))
     bf({-3: 1}, M=F(4))
+    # Only the lowest bucket can break the bound, wherever it sits in the mapping,
+    # and the error names it.
+    with pytest.raises(SpecError, match="bucket -3 "):
+        bf({5: 1, -3: 1}, M=F(2))
+    with pytest.raises(SpecError, match="bucket -4 "):
+        bf({5: 1, -3: 1, -4: 1}, M=F(2))
+    bf({5: 1, -2: 1}, M=F(2))
 
 
 def test_bucket_function_normalizes_counts():

@@ -462,6 +462,27 @@ def test_coefficient_seq_validation():
     assert CoefficientSeq(explicit={}, tail=ZeroTail()).tail is None
 
 
+@pytest.mark.parametrize("small", [1.01e-9, 0.99e-9])
+@pytest.mark.parametrize("shape", ["square", "wide", "tall"])
+def test_measure_and_inventory_share_one_rank_rule(small, shape):
+    # A singular value just above or just below svd_tol * sigma_max: both
+    # reductions must keep or drop it alike. delta = 10^-6 keeps the kept value
+    # clear of every bucket edge.
+    rows = {
+        "square": ((1, 0), (0, small)),
+        "wide": ((1, 0, 0), (0, small, 0)),
+        "tall": ((1, 0), (0, small), (0, 0)),
+    }[shape]
+    spec = FiniteMatrix(rows=rows)
+    m = modulus_data(spec, F(1, 10**6))
+    inv = flatten_values(spec)
+    assert (m.kernel_dim, m.cokernel_dim) == (inv.kernel_dim, inv.cokernel_dim)
+    rank = 2 if small > 1e-9 else 1
+    assert len(inv.values) == m.total_mass().n == rank
+    assert m.kernel_dim == Finite(spec.n_cols - rank)
+    assert m.cokernel_dim == Finite(spec.n_rows - rank)
+
+
 # ---------------------------------------------------------------------------
 # Value inventories
 
