@@ -7,7 +7,7 @@ bookkeeping. Both run in near-linear time in the size of their input.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 BACKEND = "python"
 
@@ -67,13 +67,14 @@ def sdr_match(t_buckets, s_buckets, width: int):
         return root
 
     out = []
-    for j in t_buckets:
+    for j, run in groupby(t_buckets):  # elements of one bucket share a window
         lo = bisect_left(s_buckets, j - width)
         hi = bisect_right(s_buckets, j + width)
-        slot = find(lo)
-        if slot < hi:
-            out.append(slot)
-            parent[slot] = slot + 1
-        else:
-            out.append(-1)
+        for _ in run:
+            slot = find(lo)
+            if slot < hi:
+                out.append(slot)
+                parent[slot] = slot + 1
+            else:
+                out.append(-1)
     return out

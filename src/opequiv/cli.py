@@ -269,8 +269,14 @@ def _parse_operator(node, path: str) -> tuple[OperatorSpec, Optional[tuple]]:
         for i, row in enumerate(rows):
             if not isinstance(row, list) or not row:
                 _fail(f"{path}/rows/{i}", "expected a nonempty array of numbers")
+            # Plain numbers convert inline; only other nodes need their pointer.
             parsed.append(
-                tuple(_matrix_entry(x, f"{path}/rows/{i}/{j}") for j, x in enumerate(row))
+                tuple(
+                    complex(x)
+                    if type(x) in (int, float)
+                    else _matrix_entry(x, f"{path}/rows/{i}/{j}")
+                    for j, x in enumerate(row)
+                )
             )
         if len({len(r) for r in parsed}) != 1:
             _fail(f"{path}/rows", "rows must all have the same length")

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from itertools import accumulate
+from operator import add, gt, sub
+from typing import Callable, Optional, Union
 
 from .cardinal import Aleph, Finite, ZERO, card_add
 from .errors import DeltaMismatchError, UnsupportedTailError
@@ -49,6 +51,7 @@ from .tails import (
 )
 
 _SCAN_SLACK = 160  # extra buckets scanned past the last structural feature
+_SCAN_CHUNK = 1024  # buckets per slice of a segment scan
 
 
 @dataclass(frozen=True)
@@ -75,12 +78,17 @@ class ConditionOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Finite counting with memoization (one _Side is reused across the whole
-# (q, N) search, so each distinct bucket is counted once)
+# Finite counting over count arrays (one _Side is reused across the whole
+# (q, N) search, so each bucket's count is evaluated once per decision)
 
 
 class _Side:
-    """One measure, split into finite data and infinite features."""
+    """One measure, split into finite data and infinite features.
+
+    ``cum[i]`` is the finite count in buckets <= ``base + i``; every count
+    below ``base`` is zero. The list grows on demand to the highest bucket
+    asked for, and each bucket's count is evaluated once.
+    """
 
     def __init__(self, m: BucketMeasure):
         self.measure = m
@@ -98,20 +106,44 @@ class _Side:
             for a in m.atoms
             if not (isinstance(a, ConstantRay) and isinstance(a.count, Aleph))
         )
-        self._cum_memo: dict[int, int] = {}
+        firsts = list(self.finite_explicit)
+        firsts.extend(a.first_bucket(self.delta) for a in self.finite_atoms)
+        self.base = min(firsts) - 1 if firsts else 0
+        self.cum = [0]
+        self._explicit_run = 0  # explicit count in buckets <= the list's top
+        self._remainder: Optional[_Side] = None
 
-    def finite_count_at(self, j: int) -> int:
-        return self.finite_cum(j) - self.finite_cum(j - 1)
+    def _grow(self, h: int) -> None:
+        js = range(self.base + len(self.cum), h + 1)
+        explicit = [self.finite_explicit.get(j, 0) for j in js]
+        total = list(accumulate(explicit, initial=self._explicit_run))[1:]
+        if total:
+            self._explicit_run = total[-1]
+        for a in self.finite_atoms:
+            total = list(map(add, total, [_atom_cum(a, j, self.delta) for j in js]))
+        self.cum.extend(total)
 
     def finite_cum(self, h: int) -> int:
-        got = self._cum_memo.get(h)
-        if got is not None:
-            return got
-        total = sum(c for j, c in self.finite_explicit.items() if j <= h)
-        for a in self.finite_atoms:
-            total += _atom_cum(a, h, self.delta)
-        self._cum_memo[h] = total
-        return total
+        i = h - self.base
+        if i < 0:
+            return 0
+        if i >= len(self.cum):
+            self._grow(h)
+        return self.cum[i]
+
+    def cum_range(self, lo: int, hi: int) -> list[int]:
+        """[finite_cum(h) for h in lo..hi]."""
+        base = self.base
+        if hi - base >= len(self.cum):
+            self._grow(hi)
+        zeros = [0] * max(0, min(hi + 1, base) - lo)
+        return zeros + self.cum[max(lo - base, 0) : max(hi - base + 1, 0)]
+
+    def remainder(self) -> "_Side":
+        """The explicit finite buckets alone, as a side of their own."""
+        if self._remainder is None:
+            self._remainder = _Side(BucketMeasure(self.delta, dict(self.finite_explicit)))
+        return self._remainder
 
     def explicit_total(self) -> int:
         return sum(self.finite_explicit.values())
@@ -198,28 +230,33 @@ def _scan_segment(
     A violation exists iff U(h) > min_{m in [k_lo-1, h-1]} V(m) where
     U(h) = Ca(h) - Cb(h+q) and V(m) = Ca(m) - Cb(m-q); the segment
     construction keeps every consulted range clear of infinite buckets.
+    The segment is read _SCAN_CHUNK buckets at a time, so the scan stops at
+    the chunk holding the first violation.
     Returns (first violation or None, final min of V over the segment).
     """
     k_lo = seg_lo if k_min is None else max(seg_lo, k_min)
     if k_lo > seg_hi:
         return None, 0
-    ca = a.finite_cum(k_lo - 1)
-    cb_hi = b.finite_cum(k_lo - 1 + q)
-    cb_lo = b.finite_cum(k_lo - 1 - q)
-    v_min = ca - cb_lo
-    v_argmin = k_lo - 1
-    for h in range(k_lo, seg_hi + 1):
-        ca += a.finite_count_at(h)
-        cb_hi += b.finite_count_at(h + q)
-        if ca - cb_hi > v_min:
-            k = v_argmin + 1
-            return (k, h - k + 1), v_min
-        cb_lo += b.finite_count_at(h - q)
-        v = ca - cb_lo
-        if v < v_min:
-            v_min = v
-            v_argmin = h
-    return None, v_min
+    run: list[int] = []  # [min of V before this chunk]; empty on the first
+    m_first = k_lo - 1  # first bucket where V reaches that min
+    for lo in range(k_lo, seg_hi + 1, _SCAN_CHUNK):
+        hi = min(lo + _SCAN_CHUNK - 1, seg_hi)
+        # Index i stands for bucket lo - 1 + i in ca and v, lo + i in over.
+        ca = a.cum_range(lo - 1, hi)
+        v = list(map(sub, ca, b.cum_range(lo - 1 - q, hi - q)))
+        v_run = list(accumulate(run + v, min))[len(run) :]
+        # over[i] is U(lo + i) > min V over [k_lo - 1, lo + i - 1].
+        over = list(map(gt, map(sub, ca[1:], b.cum_range(lo + q, hi + q)), v_run))
+        if True in over:
+            i = over.index(True)
+            # First argmin of V, so the longest violating window.
+            if not (run and run[0] == v_run[i]):
+                m_first = lo - 1 + v.index(v_run[i])
+            return (m_first + 1, lo + i - m_first), v_run[i]
+        if not (run and run[0] == v_run[-1]):
+            m_first = lo - 1 + v.index(v_run[-1])
+        run = [v_run[-1]]
+    return None, run[0]
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +439,7 @@ def _tail_certificate(
     # window contains the plain one), so only the explicit remainders must
     # dominate on their own — a finite sub-problem, scanned exhaustively.
     if sorted(map(_ray_like, a_atoms)) == sorted(map(_ray_like, b_atoms)):
-        ea = _Side(BucketMeasure(a.delta, dict(a.finite_explicit)))
-        eb = _Side(BucketMeasure(b.delta, dict(b.finite_explicit)))
+        ea, eb = a.remainder(), b.remainder()
         idx = [seg_lo] + ea.structural_indices() + eb.structural_indices()
         hit, _ = _scan_segment(ea, eb, q, seg_lo, max(idx) + q + 2, k_min)
         if hit is None:
@@ -466,12 +502,13 @@ def _analytic_violation(
 def _probe_long_window(
     a: _Side, b: _Side, q: int, start: int, max_len: int
 ) -> Optional[tuple[int, int]]:
-    ca = 0
-    base = b.finite_cum(start - 1 - q)
-    for l in range(1, max_len + 1):
-        h = start + l - 1
-        ca += a.finite_count_at(h)
-        if ca > b.finite_cum(h + q) - base:
+    # Window [start, h] against b's [start - q, h + q] violates iff
+    # Ca(h) - Cb(h + q) > Ca(start - 1) - Cb(start - 1 - q).
+    end = start + max_len - 1
+    floor = a.finite_cum(start - 1) - b.finite_cum(start - 1 - q)
+    d = map(sub, a.cum_range(start, end), b.cum_range(start + q, end + q))
+    for l, dl in enumerate(d, 1):
+        if dl > floor:
             return (start, l)
     return None
 
@@ -479,9 +516,13 @@ def _probe_long_window(
 def _probe_deep_single(
     a: _Side, b: _Side, q: int, lo: int, tries: int
 ) -> Optional[tuple[int, int]]:
-    for j in range(lo, lo + tries):
-        if a.finite_count_at(j) > b.finite_cum(j + q) - b.finite_cum(j - q - 1):
-            return (j, 1)
+    # Bucket j = lo + i against b's [j - q, j + q].
+    ca = a.cum_range(lo - 1, lo + tries - 1)
+    cb_hi = b.cum_range(lo + q, lo + tries - 1 + q)
+    cb_lo = b.cum_range(lo - q - 1, lo + tries - q - 2)
+    for i in range(tries):
+        if ca[i + 1] - ca[i] > cb_hi[i] - cb_lo[i]:
+            return (lo + i, 1)
     return None
 
 
@@ -638,6 +679,35 @@ def _prepare(a: BucketMeasure, b: BucketMeasure) -> tuple[_Side, _Side]:
     return _Side(a), _Side(b)
 
 
+def _least_certified(
+    check: Callable[[int], ConditionOutcome], q_max: int, at_max: ConditionOutcome
+) -> ConditionOutcome:
+    """Outcome at the least q whose ``check(q)`` is present, given that
+    ``at_max`` (the check at q_max) is. Gallops q = 1, 2, 4, ... and then
+    bisects the last gap."""
+    lo, hi, best = 0, q_max, at_max  # absent at lo (or lo = 0), present at hi
+    q = 1
+    while q < q_max:
+        out = check(q)
+        if out.present:
+            hi, best = q, out
+            break
+        lo, q = q, 2 * q
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        out = check(mid)
+        if out.present:
+            hi, best = mid, out
+        else:
+            lo = mid
+    return best
+
+
+# Both searches take certification to be monotone in q (widening only adds
+# content to b's windows): when q_max is not certified, no smaller q is, and
+# the refusal carries q_max's note.
+
+
 def condition_s_outcome(
     a: BucketMeasure, b: BucketMeasure, q_max: int = 64
 ) -> ConditionOutcome:
@@ -647,14 +717,9 @@ def condition_s_outcome(
     worst = _check_both(sa, sb, q_max, None)
     if worst.violation is not None:
         return worst
-    for q in range(1, q_max + 1):
-        out = _check_both(sa, sb, q, None)
-        if out.present:
-            return out
-    raise UnsupportedTailError(
-        worst.unsupported
-        or "window domination neither certified nor refuted within the search caps"
-    )
+    if worst.unsupported is not None:
+        raise UnsupportedTailError(worst.unsupported)
+    return _least_certified(lambda q: _check_both(sa, sb, q, None), q_max, worst)
 
 
 def check_condition_S(
@@ -677,30 +742,23 @@ def condition_s_tilde_outcome(
         return ConditionOutcome(
             q_used=worst.q_used, n_cutoff=n_max, violation=worst.violation
         )
-    unsupported = worst.unsupported
-    for q in range(1, q_max + 1):
-        wide = _check_both(sa, sb, q, n_max)
-        if wide.unsupported is not None:
-            unsupported = wide.unsupported
-            continue
-        if not wide.present:
-            continue
-        # Presence is monotone in N (larger N sees fewer windows): binary
-        # search the least N that still works at this q.
-        lo, hi, best = 1, n_max, n_max
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            if _check_both(sa, sb, q, mid).present:
-                best, hi = mid, mid - 1
-            else:
-                lo = mid + 1
-        return ConditionOutcome(
-            delta_prime=pow_delta(a.delta, q), n_cutoff=best, q_used=q
-        )
-    raise UnsupportedTailError(
-        unsupported
-        or "cutoff window domination neither certified nor refuted within the search caps"
-    )
+    if worst.unsupported is not None:
+        raise UnsupportedTailError(worst.unsupported)
+    q = _least_certified(lambda q: _check_both(sa, sb, q, n_max), q_max, worst).q_used
+    return _least_cutoff(sa, sb, q, n_max)
+
+
+def _least_cutoff(sa: _Side, sb: _Side, q: int, n_max: int) -> ConditionOutcome:
+    """Presence is monotone in N (larger N sees fewer windows): binary search
+    the least N that still works at q, given that n_max does."""
+    lo, hi, best = 1, n_max, n_max
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if _check_both(sa, sb, q, mid).present:
+            best, hi = mid, mid - 1
+        else:
+            lo = mid + 1
+    return ConditionOutcome(delta_prime=pow_delta(sa.delta, q), n_cutoff=best, q_used=q)
 
 
 def check_condition_S_tilde(

@@ -94,6 +94,7 @@ def test_delta_out_of_range_rejected():
         (doc({"kind": "matrix", "rows": [[1, 2], [3]]}, UNIT), "/T/rows"),  # ragged
         (doc({"kind": "matrix", "rows": []}, UNIT), "/T/rows"),  # empty
         (doc({"kind": "matrix", "rows": [[True]]}, UNIT), "/T/rows/0/0"),  # bool
+        (doc(UNIT, {"kind": "matrix", "rows": [[1, 2.5], ["1/2", [1]]]}), "/S/rows/1/1"),
         (doc({"kind": "compact_diagonal", "prefix": [0.5]}, UNIT), "/T/prefix/0"),  # float
         (doc({"kind": "compact_diagonal", "prefix": ["1/4", "1/2"]}, UNIT), "/T/prefix/1"),
         (doc({"kind": "compact_diagonal", "prefix": ["0"]}, UNIT), "/T/prefix/0"),

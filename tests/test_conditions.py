@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+import test_acceptance as acceptance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,8 @@ from opequiv import (
     GeometricSeq,
     PowerSeq,
     ScaledIdentity,
+    SeqRay,
+    SeqSpan,
     SparseRay,
     UnsupportedTailError,
     card_le,
@@ -30,6 +33,7 @@ from opequiv import (
     lemma_s_tilde_consistency,
     modulus_data,
 )
+from opequiv import conditions, engine
 
 HALF = F(1, 2)
 
@@ -261,3 +265,303 @@ def test_augmentation_consistency_examples():
     assert lemma_s_tilde_consistency(
         meas({0: Finite(2)}), meas({1: Finite(2)}), (Finite(3), Finite(3))
     )
+
+
+# ---------------------------------------------------------------------------
+# Count arrays against the direct sum they replace
+
+
+def oracle_cum(m, h):
+    """Finite count in buckets <= h: explicit counts plus each atom's own sum."""
+    total = sum(c.n for j, c in m.buckets.items() if j <= h and not isinstance(c, Aleph))
+    for a in m.atoms:
+        if not (isinstance(a, ConstantRay) and isinstance(a.count, Aleph)):
+            total += conditions._atom_cum(a, h, m.delta)
+    return total
+
+
+count_atoms = st.one_of(
+    st.builds(ConstantRay, st.integers(-4, 6), st.sampled_from([Finite(1), Finite(3), ALEPH0])),
+    st.builds(GeometricRay, st.integers(0, 4), st.integers(2, 3)),
+    st.builds(SparseRay, st.integers(0, 4)),
+    st.builds(
+        lambda model, start, mult: SeqRay(SeqSpan(model, start, mult)),
+        st.sampled_from(
+            [
+                PowerSeq(F(1), F(1)),
+                PowerSeq(F(8), F(2)),  # values up to 8: negative buckets
+                GeometricSeq(F(3), F(1, 3)),
+                FactorialSeq(),
+            ]
+        ),
+        st.integers(1, 3),
+        st.integers(1, 2),
+    ),
+)
+count_measures = st.builds(
+    lambda buckets, atoms: meas(buckets, tuple(atoms)),
+    st.dictionaries(
+        st.integers(-6, 8), st.sampled_from([Finite(1), Finite(2), Finite(5), ALEPH0]), max_size=4
+    ),
+    st.lists(count_atoms, max_size=2),
+)
+
+
+@given(
+    count_measures,
+    # Queries in any order, below base and far above the last feature.
+    st.lists(st.integers(-12, 40) | st.sampled_from([-200, 150, 300]), min_size=1, max_size=12),
+    st.integers(-12, 40),
+    st.integers(-2, 30),
+)
+@settings(max_examples=120, deadline=None)
+def test_count_array_matches_direct_sum(m, hs, lo, width):
+    side = conditions._Side(m)
+    for h in hs:
+        assert side.finite_cum(h) == oracle_cum(m, h)
+    assert side.finite_cum(side.base) == 0
+    hi = lo + width - 1  # width 0 and below: an empty range
+    assert side.cum_range(lo, hi) == [oracle_cum(m, h) for h in range(lo, hi + 1)]
+
+
+# ---------------------------------------------------------------------------
+# Galloping search against the linear search it replaces
+
+
+def linear_s(a, b, q_max=64):
+    """Check q_max, then every q from 1 upward."""
+    sa, sb = conditions._prepare(a, b)
+    worst = conditions._check_both(sa, sb, q_max, None)
+    if worst.violation is not None:
+        return worst
+    for q in range(1, q_max + 1):
+        out = conditions._check_both(sa, sb, q, None)
+        if out.present:
+            return out
+    raise UnsupportedTailError(
+        worst.unsupported
+        or "window domination neither certified nor refuted within the search caps"
+    )
+
+
+def linear_s_tilde(a, b, q_max=64, n_max=64):
+    """Check (q_max, n_max), then every q from 1 upward; bisect N at the first
+    q that works."""
+    sa, sb = conditions._prepare(a, b)
+    worst = conditions._check_both(sa, sb, q_max, n_max)
+    if worst.violation is not None:
+        return conditions.ConditionOutcome(
+            q_used=worst.q_used, n_cutoff=n_max, violation=worst.violation
+        )
+    unsupported = worst.unsupported
+    for q in range(1, q_max + 1):
+        wide = conditions._check_both(sa, sb, q, n_max)
+        if wide.unsupported is not None:
+            unsupported = wide.unsupported
+            continue
+        if not wide.present:
+            continue
+        lo, hi, best = 1, n_max, n_max
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            if conditions._check_both(sa, sb, q, mid).present:
+                best, hi = mid, mid - 1
+            else:
+                lo = mid + 1
+        return conditions.ConditionOutcome(
+            delta_prime=conditions.pow_delta(a.delta, q), n_cutoff=best, q_used=q
+        )
+    raise UnsupportedTailError(
+        unsupported
+        or "cutoff window domination neither certified nor refuted within the search caps"
+    )
+
+
+def search_result(search, *args):
+    """(q_used, n_cutoff, violation) of an outcome, or the refusal's note."""
+    try:
+        out = search(*args)
+    except UnsupportedTailError as e:
+        return str(e)
+    return (out.q_used, out.n_cutoff, out.violation)
+
+
+def test_galloping_search_matches_linear_on_acceptance_generators(monkeypatch):
+    # Record every search that criteria 5, 9 and 10 make, through the engine
+    # and through lemma_s_tilde_consistency, with the result it gave.
+    searches = {"S": conditions.condition_s_outcome, "S~": conditions.condition_s_tilde_outcome}
+    seen = {}
+
+    def recorder(name):
+        def search(*args):
+            key = (name, repr(args))
+            try:
+                out = searches[name](*args)
+            except UnsupportedTailError as e:
+                seen.setdefault(key, (name, args, str(e)))
+                raise
+            seen.setdefault(key, (name, args, (out.q_used, out.n_cutoff, out.violation)))
+            return out
+
+        return search
+
+    for module in (conditions, engine):
+        monkeypatch.setattr(module, "condition_s_outcome", recorder("S"))
+        monkeypatch.setattr(module, "condition_s_tilde_outcome", recorder("S~"))
+    acceptance.test_criterion_05()
+    acceptance.test_criterion_09()
+    acceptance.test_criterion_10()
+    monkeypatch.undo()
+
+    linear = {"S": linear_s, "S~": linear_s_tilde}
+    deep = 0
+    for name, args, result in seen.values():
+        assert result == search_result(linear[name], *args), (name, args)
+        deep += isinstance(result, tuple) and result[2] is None and result[0] >= 3
+    # The generators reach the bisection, not only q = 1 and refusals.
+    assert len(seen) > 1000 and deep > 100
+
+
+def test_uncertified_q_max_refuses_with_its_own_note(monkeypatch):
+    # No certificate at q_max: the search stops after that one check, and the
+    # refusal carries the note the linear search ends with.
+    a = meas({}, atoms=(GeometricRay(0, 2),))
+    b = diag_inverse()
+    calls = []
+    check = conditions._check_both
+
+    def counted(sa, sb, q, k_min):
+        calls.append(q)
+        return check(sa, sb, q, k_min)
+
+    monkeypatch.setattr(conditions, "_check_both", counted)
+    for search, oracle, args in (
+        (condition_s_outcome, linear_s, (a, b, 12)),
+        (condition_s_tilde_outcome, linear_s_tilde, (a, b, 12, 12)),
+    ):
+        calls.clear()
+        note = search_result(search, *args)
+        assert calls == [12]
+        assert isinstance(note, str) and note == search_result(oracle, *args)
+
+
+# ---------------------------------------------------------------------------
+# Segment scan and probes against direct window counts
+
+
+def window(m, k, h):
+    """Finite count in buckets [k, h], from the direct sums."""
+    return oracle_cum(m, h) - oracle_cum(m, k - 1)
+
+
+def first_segment_violation(a, b, q, k_lo, seg_hi):
+    """First end bucket h with a violating window [k, h], k >= k_lo; among
+    those windows the one with the largest excess, then the least k."""
+    for h in range(k_lo, seg_hi + 1):
+        excess = {k: window(a, k, h) - window(b, k - q, h + q) for k in range(k_lo, h + 1)}
+        top = max(excess.values())
+        if top > 0:
+            k = min(k for k, e in excess.items() if e == top)
+            return (k, h - k + 1)
+    return None
+
+
+finite_atoms = st.one_of(
+    st.builds(ConstantRay, st.integers(-4, 6), st.sampled_from([Finite(1), Finite(2), Finite(3)])),
+    st.builds(GeometricRay, st.integers(0, 4), st.integers(2, 3)),
+    st.builds(SparseRay, st.integers(0, 4)),
+    st.builds(
+        lambda model, start, mult: SeqRay(SeqSpan(model, start, mult)),
+        st.sampled_from([PowerSeq(F(1), F(1)), PowerSeq(F(8), F(2)), FactorialSeq()]),
+        st.integers(1, 3),
+        st.integers(1, 2),
+    ),
+)
+finite_measures = st.builds(
+    lambda buckets, atoms: meas(buckets, tuple(atoms)),
+    st.dictionaries(st.integers(-6, 12), st.sampled_from([Finite(1), Finite(2), Finite(5)]), max_size=4),
+    st.lists(finite_atoms, max_size=2),
+)
+
+
+@given(
+    finite_measures,
+    finite_measures,
+    st.sampled_from([1, 2, 5]),
+    st.integers(-10, 14),
+    st.integers(0, 24),
+    st.sampled_from([None, 3]),
+    st.sampled_from([1, 2, 5, 1024]),
+)
+@settings(max_examples=150, deadline=None)
+def test_chunked_scan_matches_direct_window_counts(a, b, q, seg_lo, width, k_min, chunk):
+    seg_hi = seg_lo + width
+    k_lo = seg_lo if k_min is None else max(seg_lo, k_min)
+    saved = conditions._SCAN_CHUNK
+    conditions._SCAN_CHUNK = chunk
+    try:
+        hit, v_min = conditions._scan_segment(
+            conditions._Side(a), conditions._Side(b), q, seg_lo, seg_hi, k_min
+        )
+    finally:
+        conditions._SCAN_CHUNK = saved
+    if k_lo > seg_hi:
+        assert (hit, v_min) == (None, 0)
+        return
+    assert hit == first_segment_violation(a, b, q, k_lo, seg_hi)
+    if hit is None:
+        v = [oracle_cum(a, m) - oracle_cum(b, m - q) for m in range(k_lo - 1, seg_hi + 1)]
+        assert v_min == min(v)
+
+
+def first_long_window(a, b, q, start, max_len):
+    for l in range(1, max_len + 1):
+        h = start + l - 1
+        if window(a, start, h) > window(b, start - q, h + q):
+            return (start, l)
+    return None
+
+
+def first_deep_single(a, b, q, lo, tries):
+    for j in range(lo, lo + tries):
+        if window(a, j, j) > window(b, j - q, j + q):
+            return (j, 1)
+    return None
+
+
+@given(
+    finite_measures,
+    finite_measures,
+    st.sampled_from([1, 2, 5, 64, 82, 120]),
+    st.integers(-10, 30),
+    st.integers(1, 40),
+)
+@settings(max_examples=150, deadline=None)
+def test_probes_match_direct_window_counts(a, b, q, start, length):
+    sa, sb = conditions._Side(a), conditions._Side(b)
+    assert conditions._probe_long_window(sa, sb, q, start, length) == first_long_window(
+        a, b, q, start, length
+    )
+    assert conditions._probe_deep_single(sa, sb, q, start, length) == first_deep_single(
+        a, b, q, start, length
+    )
+
+
+@pytest.mark.parametrize("q, expected", [(1, (10, 3)), (100, (10, 111))])
+def test_long_window_probe_on_constant_densities(q, expected):
+    # Two per bucket against one per bucket: the window [10, 9 + l] holds 2l
+    # against b's l + 2q when b's widened window stays inside b's ray, and
+    # l + 10 + q once it reaches below bucket 0.
+    a = conditions._Side(meas({}, atoms=(ConstantRay(0, Finite(2)),)))
+    b = conditions._Side(meas({}, atoms=(ConstantRay(0, Finite(1)),)))
+    assert conditions._probe_long_window(a, b, q, 10, 200) == expected
+    assert first_long_window(a.measure, b.measure, q, 10, 200) == expected
+
+
+@pytest.mark.parametrize("b_bucket, expected", [(8, (10, 1)), (9, None), (11, None), (12, (10, 1))])
+def test_deep_single_probe_reaches_both_edges(b_bucket, expected):
+    # Bucket 10 of a holds 3; b's widened window [9, 11] must hold them.
+    a = conditions._Side(meas({10: Finite(3)}))
+    b = conditions._Side(meas({b_bucket: Finite(3)}))
+    assert conditions._probe_deep_single(a, b, 1, 5, 10) == expected
+    assert first_deep_single(a.measure, b.measure, 1, 5, 10) == expected

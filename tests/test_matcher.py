@@ -1,5 +1,6 @@
 """Tests for window-hypothesis verification and constructive bucket matching."""
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -373,3 +374,29 @@ def test_verify_windows_negative_window_end_counts_zero():
     assert oracle_windows(a, b, -3, 0, 2) == (-3, 6)
     assert _matchcore_py.verify_windows(a, b, -3, 0, 2) == (-3, 6)
     assert _matchcore_py.verify_windows([0, 7], [0, 0], -4, -3, -2) is None
+
+
+def oracle_sdr(t_buckets, s_buckets, width):
+    """Least-slot greedy with both bisections and a linear probe per element."""
+    used = [False] * len(s_buckets)
+    out = []
+    for j in t_buckets:
+        lo = bisect_left(s_buckets, j - width)
+        hi = bisect_right(s_buckets, j + width)
+        slot = next((i for i in range(lo, hi) if not used[i]), -1)
+        if slot >= 0:
+            used[slot] = True
+        out.append(slot)
+    return out
+
+
+@given(
+    st.lists(st.integers(-4, 6), max_size=25).map(sorted),
+    st.lists(st.integers(-4, 6), max_size=25).map(sorted),
+    st.integers(0, 2),
+)
+@settings(max_examples=300)
+def test_sdr_match_matches_per_element_oracle(t_buckets, s_buckets, width):
+    assert _matchcore_py.sdr_match(t_buckets, s_buckets, width) == oracle_sdr(
+        t_buckets, s_buckets, width
+    )

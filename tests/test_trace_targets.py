@@ -6,7 +6,9 @@ layer's metrics, so every target must still resolve to a callable here.
 
 import importlib
 import importlib.util
+import inspect
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -35,3 +37,18 @@ def test_trace_target_resolves_to_a_callable(target):
     for part in target.name.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_scan_segment_keeps_the_shape_the_tracer_unpacks():
+    # The tracer's _scan_counts unpacks the arguments by position and reads
+    # result[0] as the violating window (k, l); a change to either would skew
+    # conditions.buckets_scanned without failing anything else.
+    from opequiv import BucketMeasure, Finite
+    from opequiv.conditions import _scan_segment, _Side
+
+    params = list(inspect.signature(_scan_segment).parameters)
+    assert params == ["a", "b", "q", "seg_lo", "seg_hi", "k_min"]
+    a = _Side(BucketMeasure(Fraction(1, 2), {0: Finite(2)}))
+    b = _Side(BucketMeasure(Fraction(1, 2), {3: Finite(2)}))
+    hit, _ = _scan_segment(a, b, 1, -2, 5, None)
+    assert hit == (-2, 3)  # window [-2, 0]: 2 values against none in [-3, 1]
