@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import add, gt, sub
+from itertools import accumulate, repeat
+from operator import add, gt, mul, sub
 from typing import Callable, Optional, Union
 
 from .cardinal import Aleph, Finite, ZERO, card_add
@@ -46,7 +46,7 @@ from .tails import (
     factorial,
     pow_delta,
     ratio_root_lower,
-    sparse_rule_count,
+    sparse_rule_count_range,
     term_value,
 )
 
@@ -109,18 +109,25 @@ class _Side:
         firsts = list(self.finite_explicit)
         firsts.extend(a.first_bucket(self.delta) for a in self.finite_atoms)
         self.base = min(firsts) - 1 if firsts else 0
+        # Buckets where a feature begins; fixed per side, so found once.
+        self.structural = (
+            firsts + [j for j, _ in self.aleph_points] + [s for s, _ in self.aleph_rays]
+        )
         self.cum = [0]
         self._explicit_run = 0  # explicit count in buckets <= the list's top
         self._remainder: Optional[_Side] = None
 
     def _grow(self, h: int) -> None:
-        js = range(self.base + len(self.cum), h + 1)
-        explicit = [self.finite_explicit.get(j, 0) for j in js]
+        lo = self.base + len(self.cum)
+        explicit = [0] * (h - lo + 1)
+        for j, c in self.finite_explicit.items():
+            if lo <= j <= h:
+                explicit[j - lo] = c
         total = list(accumulate(explicit, initial=self._explicit_run))[1:]
         if total:
             self._explicit_run = total[-1]
         for a in self.finite_atoms:
-            total = list(map(add, total, [_atom_cum(a, j, self.delta) for j in js]))
+            total = list(map(add, total, _atom_cum_range(a, lo, h, self.delta)))
         self.cum.extend(total)
 
     def finite_cum(self, h: int) -> int:
@@ -159,27 +166,25 @@ class _Side:
                 best = lev
         return best
 
-    def structural_indices(self) -> list[int]:
-        out = list(self.finite_explicit)
-        out.extend(j for j, _ in self.aleph_points)
-        out.extend(a.first_bucket(self.delta) for a in self.finite_atoms)
-        out.extend(s for s, _ in self.aleph_rays)
-        return out
 
-
-def _atom_cum(atom, h: int, delta: Fraction) -> int:
-    """Count contributed by a finite-count atom to buckets <= h."""
-    if isinstance(atom, ConstantRay):
-        return max(0, h - atom.start + 1) * atom.count.n
-    if isinstance(atom, GeometricRay):
-        if h < atom.start:
-            return 0
-        b = atom.base
-        return (b ** (h + 1) - b**atom.start) // (b - 1)
+def _atom_cum_range(atom, lo: int, hi: int, delta: Fraction) -> list[int]:
+    """Count contributed by a finite-count atom to buckets <= h, for h in lo..hi."""
     if isinstance(atom, SparseRay):
-        return sparse_rule_count(delta, atom.start, h)
+        return sparse_rule_count_range(delta, atom.start, lo, hi)
     if isinstance(atom, SeqRay):
-        return atom.span.cum_to_bucket(delta, h)
+        return atom.span.cum_range(delta, lo, hi)
+    first = max(lo, atom.start)  # the first bucket with a nonzero count
+    zeros = [0] * max(0, min(first, hi + 1) - lo)
+    if first > hi:
+        return zeros
+    if isinstance(atom, ConstantRay):
+        c = atom.count.n
+        return zeros + list(range(c * (first - atom.start + 1), c * (hi - atom.start + 2), c))
+    if isinstance(atom, GeometricRay):
+        b = atom.base
+        powers = accumulate(repeat(b, hi - first), mul, initial=b**first)
+        below = (b**first - b**atom.start) // (b - 1)  # buckets start..first-1
+        return zeros + list(accumulate(powers, initial=below))[1:]
     raise TypeError(f"unknown atom {atom!r}")
 
 
@@ -440,7 +445,7 @@ def _tail_certificate(
     # dominate on their own — a finite sub-problem, scanned exhaustively.
     if sorted(map(_ray_like, a_atoms)) == sorted(map(_ray_like, b_atoms)):
         ea, eb = a.remainder(), b.remainder()
-        idx = [seg_lo] + ea.structural_indices() + eb.structural_indices()
+        idx = [seg_lo] + ea.structural + eb.structural
         hit, _ = _scan_segment(ea, eb, q, seg_lo, max(idx) + q + 2, k_min)
         if hit is None:
             return None
@@ -573,7 +578,7 @@ def _check_direction(
         c = b.aleph_ray_start - q - 1
         hi_cap = c if hi_cap is None else min(hi_cap, c)
 
-    structural = a.structural_indices() + b.structural_indices()
+    structural = a.structural + b.structural
     if not structural:
         return None
     lo = min(structural) - q - 2

@@ -12,6 +12,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Union
 
 from .errors import DeltaRangeError
@@ -259,6 +260,61 @@ class SeqSpan:
         """Number of values in buckets <= h, i.e. values >= delta^(h+1)."""
         return self.count_ge(pow_delta(delta, h + 1))
 
+    def cum_range(self, delta: Fraction, lo: int, hi: int) -> list[int]:
+        """[cum_to_bucket(delta, h) for h in lo..hi], in integers only.
+
+        The threshold delta^(h+1) is kept as N/D (not in lowest terms) and
+        stepped one bucket by N *= delta's numerator, D *= its denominator.
+        """
+        if hi < lo:
+            return []
+        e = lo + 1
+        dn, dd = delta.numerator, delta.denominator
+        big_n, big_d = (dn**e, dd**e) if e >= 0 else (dd**-e, dn**-e)
+        model, start = self.model, self.start
+        out = []
+        if isinstance(model, PowerSeq):
+            # c * n^(-a/b) >= N/D  <=>  n^a <= floor(X / Y) with
+            # X = (c_num * D)^b and Y = (c_den * N)^b.
+            a, b = model.p.numerator, model.p.denominator
+            x = (model.c.numerator * big_d) ** b
+            y = (model.c.denominator * big_n) ** b
+            step_x, step_y = dd**b, dn**b
+            for _ in range(hi - lo + 1):
+                out.append(iroot(x // y, a))
+                x *= step_x
+                y *= step_y
+        else:
+            # The last index n >= t only moves forward as the threshold falls.
+            n = max(start - 1, _last_index_ge(model, Fraction(big_n, big_d)))
+            if isinstance(model, GeometricSeq):
+                # term(n + 1) >= N/D  <=>  c_num r_num^(n+1) D >= c_den r_den^(n+1) N
+                rn, rd = model.r.numerator, model.r.denominator
+                left = model.c.numerator * rn ** (n + 1) * big_d
+                right = model.c.denominator * rd ** (n + 1) * big_n
+                for _ in range(hi - lo + 1):
+                    while left >= right:
+                        n += 1
+                        left *= rn
+                        right *= rd
+                    out.append(n)
+                    left *= dd
+                    right *= dn
+            elif isinstance(model, FactorialSeq):
+                # term(n + 1) >= N/D  <=>  (n + 1)! N <= D
+                fact = factorial(n + 1)
+                for _ in range(hi - lo + 1):
+                    while fact * big_n <= big_d:
+                        n += 1
+                        fact *= n + 1
+                    out.append(n)
+                    big_n *= dn
+                    big_d *= dd
+            else:
+                raise TypeError(f"no terms on {model!r}")
+        mult, skip = self.mult, start - 1
+        return [mult * (n - skip) if n > skip else 0 for n in out]
+
     def bucket_count(self, delta: Fraction, j: int) -> int:
         return self.cum_to_bucket(delta, j) - self.cum_to_bucket(delta, j - 1)
 
@@ -313,6 +369,18 @@ def sparse_rule_count(delta: Fraction, k: int, h: int) -> int:
         return 0
     marks = _sparse_indices(delta, h)
     return bisect.bisect_right(marks, h) - bisect.bisect_left(marks, k)
+
+
+def sparse_rule_count_range(delta: Fraction, k: int, lo: int, hi: int) -> list[int]:
+    """[sparse_rule_count(delta, k, h) for h in lo..hi]."""
+    if hi < lo:
+        return []
+    per_bucket = [0] * (hi - lo + 1)
+    if hi >= 0:
+        marks = _sparse_indices(delta, hi)
+        for j in marks[bisect.bisect_left(marks, k) : bisect.bisect_right(marks, hi)]:
+            per_bucket[max(j - lo, 0)] += 1
+    return list(accumulate(per_bucket))
 
 
 def sparse_rule_cum(delta: Fraction, h: int) -> int:

@@ -33,7 +33,8 @@ from opequiv import (
     lemma_s_tilde_consistency,
     modulus_data,
 )
-from opequiv import conditions, engine
+from opequiv import conditions, engine, tails
+from opequiv.tails import sparse_rule_count
 
 HALF = F(1, 2)
 
@@ -271,12 +272,28 @@ def test_augmentation_consistency_examples():
 # Count arrays against the direct sum they replace
 
 
+def _atom_cum(atom, h: int, delta: F) -> int:
+    """Count contributed by a finite-count atom to buckets <= h."""
+    if isinstance(atom, ConstantRay):
+        return max(0, h - atom.start + 1) * atom.count.n
+    if isinstance(atom, GeometricRay):
+        if h < atom.start:
+            return 0
+        b = atom.base
+        return (b ** (h + 1) - b**atom.start) // (b - 1)
+    if isinstance(atom, SparseRay):
+        return sparse_rule_count(delta, atom.start, h)
+    if isinstance(atom, SeqRay):
+        return atom.span.cum_to_bucket(delta, h)
+    raise TypeError(f"unknown atom {atom!r}")
+
+
 def oracle_cum(m, h):
     """Finite count in buckets <= h: explicit counts plus each atom's own sum."""
     total = sum(c.n for j, c in m.buckets.items() if j <= h and not isinstance(c, Aleph))
     for a in m.atoms:
         if not (isinstance(a, ConstantRay) and isinstance(a.count, Aleph)):
-            total += conditions._atom_cum(a, h, m.delta)
+            total += _atom_cum(a, h, m.delta)
     return total
 
 
@@ -322,6 +339,46 @@ def test_count_array_matches_direct_sum(m, hs, lo, width):
     assert side.finite_cum(side.base) == 0
     hi = lo + width - 1  # width 0 and below: an empty range
     assert side.cum_range(lo, hi) == [oracle_cum(m, h) for h in range(lo, hi + 1)]
+
+
+def test_growing_a_power_tail_side_counts_no_bucket_by_bucket(monkeypatch):
+    calls = []
+    real = tails.count_ge
+
+    def counting(model, start, t):
+        calls.append(t)
+        return real(model, start, t)
+
+    monkeypatch.setattr(tails, "count_ge", counting)
+    made = []
+    for depth in (20, 200, 2000):
+        calls.clear()
+        side = conditions._Side(meas({}, (SeqRay(SeqSpan(PowerSeq(F(1), F(1)))),)))
+        top = side.finite_cum(side.base + depth)
+        assert top == 2 ** (side.base + depth + 1)  # values 1/n >= 2^-(h+1)
+        made.append(len(calls))
+    assert made[0] == made[1] == made[2]
+
+
+def test_first_buckets_are_found_once_per_side(monkeypatch):
+    calls = []
+    for cls in (ConstantRay, GeometricRay, SparseRay, SeqRay):
+
+        def counting(self, delta, real=cls.first_bucket):
+            calls.append(self)
+            return real(self, delta)
+
+        monkeypatch.setattr(cls, "first_bucket", counting)
+    checks = []
+    real_check = conditions._check_both
+    monkeypatch.setattr(
+        conditions, "_check_both", lambda *args: checks.append(args[2]) or real_check(*args)
+    )
+    a = meas({2: Finite(1)}, (SeqRay(SeqSpan(PowerSeq(F(1), F(1)))),))
+    b = meas({}, (SeqRay(SeqSpan(PowerSeq(F(1, 8), F(1)))),))
+    out = condition_s_outcome(a, b, q_max=16)
+    assert out.present and len(set(checks)) > 2  # several widenings tried
+    assert calls == [a.atoms[0], b.atoms[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from opequiv.tails import (
     ratio_root_lower,
     ratio_root_upper,
     sparse_rule_count,
+    sparse_rule_count_range,
     term_cmp,
     term_value,
 )
@@ -395,7 +396,7 @@ def test_sparse_rule_matches_oracle(delta):
 
 
 def test_sparse_rule_repeat_computes_no_floor_log(monkeypatch):
-    delta = F(5, 11)  # a base no other test uses, so the cache starts cold
+    delta = F(5, 11)  # a base no earlier test uses, so the cache starts cold
     calls = []
     real = tails._floor_log
 
@@ -420,3 +421,50 @@ def test_sparse_rule_examples():
     assert sparse_rule_count(half, 0, 2) == 3  # 0, 1, 2
     assert sparse_rule_count(half, 3, 4) == 1  # mark 4 (4! = 24, log2 in [4,5))
     assert sparse_rule_count(half, 5, 6) == 1  # mark 6 (5! = 120)
+
+
+# ---------------------------------------------------------------------------
+# Range counts against the per-bucket counts they batch
+
+# Below 1/3, one bucket can hold two factorial terms (1/(n+2) >= delta).
+range_deltas = st.sampled_from([F(1, 2), F(2, 3), F(5, 11), F(1, 10)])
+range_models = st.sampled_from(
+    [
+        PowerSeq(F(1), F(1)),
+        PowerSeq(F(3), F(5, 2)),
+        PowerSeq(F(7, 3), F(2, 3)),
+        PowerSeq(F(1, 9), F(3)),
+        # r on both sides of delta = 1/2, 2/3 and 5/11
+        GeometricSeq(F(3), F(1, 3)),
+        GeometricSeq(F(5, 2), F(3, 5)),
+        GeometricSeq(F(1, 7), F(9, 10)),
+        FactorialSeq(),
+    ]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    range_models,
+    st.integers(1, 20),
+    st.integers(1, 3),
+    range_deltas,
+    # lo as low as -40 starts every range where the count is still 0
+    st.integers(-40, 60),
+    st.integers(-3, 80),
+)
+def test_seqspan_cum_range_matches_per_bucket(model, start, mult, delta, lo, width):
+    span = SeqSpan(model, start, mult)
+    hi = lo + width - 1  # width 0 and below: an empty range
+    assert span.cum_range(delta, lo, hi) == [
+        span.cum_to_bucket(delta, h) for h in range(lo, hi + 1)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(range_deltas, st.integers(-30, 40), st.integers(-40, 60), st.integers(-3, 80))
+def test_sparse_rule_count_range_matches_per_bucket(delta, k, lo, width):
+    hi = lo + width - 1
+    assert sparse_rule_count_range(delta, k, lo, hi) == [
+        sparse_rule_count(delta, k, h) for h in range(lo, hi + 1)
+    ]
