@@ -272,6 +272,14 @@ def _scan_segment(
 # for EVERY h >= h_from, by sandwiching the exact floor counts between
 # continuous envelopes whose gap is nondecreasing in h. All coefficients are
 # exact rationals; count evaluations are exact integers.
+#
+# The bound is tried at one depth, h0 = h_from + 47 * max(4, q), the deepest
+# of the depths h_from + t * max(4, q), t = 0..47. That gives the same answer
+# as trying every one of them because both counts only grow with h0 and each
+# family's bound_ok depends on nx (x's count at h0) alone and is
+# nondecreasing in it: its slope, eps for power spans and ay - ax for
+# geometric and factorial spans, is checked >= 0 before any count is made.
+# A family added here must keep that property.
 
 
 def _span_dom(
@@ -282,22 +290,12 @@ def _span_dom(
     ax, ay = x.mult, y.mult
     c0 = ay * sy - ax * sx + ax  # floor/start correction, same in every family
 
-    def count_x(h0: int) -> int:
-        return x.count_ge(pow_delta(delta, h0 + 1)) // ax
-
-    def count_y(h0: int) -> int:
-        return y.count_ge(pow_delta(delta, h0 + q + 1)) // ay
-
-    def ladder(bound_ok) -> bool:
-        stride = max(4, q)
-        for t in range(48):
-            h0 = h_from + t * stride
-            nx = count_x(h0)
-            if nx < 1 or count_y(h0) < 1:
-                continue
-            if bound_ok(h0, nx):
-                return True
-        return False
+    def at_depth(bound_ok) -> bool:
+        h0 = h_from + 47 * max(4, q)
+        nx = x.count_ge(pow_delta(delta, h0 + 1)) // ax
+        if nx < 1 or y.count_ge(pow_delta(delta, h0 + q + 1)) < 1:
+            return False
+        return bound_ok(nx)
 
     if isinstance(mx, PowerSeq) and isinstance(my, PowerSeq) and mx.p == my.p:
         p = mx.p
@@ -309,11 +307,11 @@ def _span_dom(
 
         # gap(h) >= A(h) * (ay*rho - ax) - c0 with A the continuous index
         # envelope of x and rho the constant y/x envelope ratio; A only grows.
-        def ok(h0: int, nx: int) -> bool:
+        def ok(nx: int) -> bool:
             a_env = Fraction(nx + sx - 1)
             return a_env * eps - c0 >= offset
 
-        return ladder(ok)
+        return at_depth(ok)
 
     if isinstance(mx, GeometricSeq) and isinstance(my, GeometricSeq) and mx.r == my.r:
         if ay < ax:
@@ -323,11 +321,11 @@ def _span_dom(
 
         # gap(h) >= (ay-ax)*Y(h) + ay*floor(log_{1/r} R) - c0 with Y the
         # continuous index envelope of x, nondecreasing in h.
-        def ok(h0: int, nx: int) -> bool:
+        def ok(nx: int) -> bool:
             y_env = nx + sx - 1
             return (ay - ax) * y_env + ay * x_lo - c0 >= offset
 
-        return ladder(ok)
+        return at_depth(ok)
 
     if isinstance(mx, FactorialSeq) and isinstance(my, FactorialSeq):
         if ay < ax:
@@ -335,11 +333,11 @@ def _span_dom(
 
         # Both counts track the same n*(h) = max{n : 1/n! >= threshold}; the
         # y threshold is deeper, so y's index is at least x's.
-        def ok(h0: int, nx: int) -> bool:
+        def ok(nx: int) -> bool:
             n_star = nx + sx - 1
             return ay * (n_star - sy + 1) - ax * (n_star - sx + 1) >= offset
 
-        return ladder(ok)
+        return at_depth(ok)
 
     return False
 
@@ -665,12 +663,11 @@ def _align_seq_rays(a: BucketMeasure, b: BucketMeasure):
 def _check_both(sa: _Side, sb: _Side, q: int, k_min: Optional[int]) -> ConditionOutcome:
     """Both directions at widening q; a located violation outranks unsupported."""
     left = _check_direction(sa, sb, q, k_min)
+    if isinstance(left, tuple):  # it outranks whatever the right side finds
+        return ConditionOutcome(q_used=q, violation=WindowViolation("left", *left))
     right = _check_direction(sb, sa, q, k_min)
-    for res, side in ((left, "left"), (right, "right")):
-        if isinstance(res, tuple):
-            return ConditionOutcome(
-                q_used=q, violation=WindowViolation(side, res[0], res[1])
-            )
+    if isinstance(right, tuple):
+        return ConditionOutcome(q_used=q, violation=WindowViolation("right", *right))
     for res in (left, right):
         if isinstance(res, str):
             return ConditionOutcome(q_used=q, unsupported=res)

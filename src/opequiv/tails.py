@@ -25,22 +25,31 @@ def check_delta(delta: Fraction) -> Fraction:
     return delta
 
 
-def iroot(x: int, k: int) -> int:
-    """Floor of the k-th root of a nonnegative integer, by integer Newton steps."""
-    if x < 0 or k < 1:
-        raise ValueError("iroot needs x >= 0, k >= 1")
+def iroot(x: int, k: int, start: Optional[int] = None) -> int:
+    """Floor of the k-th root of a nonnegative integer, by integer Newton steps.
+
+    ``start`` is an optional positive guess at the root. Any guess gives the
+    same answer; one close to the root saves steps.
+    """
+    if x < 0 or k < 1 or (start is not None and start < 1):
+        raise ValueError("iroot needs x >= 0, k >= 1 and a positive start")
     if x < 2 or k == 1:
         return x
     if k == 2:
         return math.isqrt(x)
-    # Start above the root (x < 2^bits); Newton steps then decrease
-    # monotonically to the floor root and stop there.
+    # Start above the root (x < 2^bits). One Newton step from any positive
+    # guess also lands at or above the floor root: the real step is at least
+    # x^(1/k) by AM-GM, and flooring x / r^(k-1) first does not change the
+    # floor of the step. From above, Newton steps decrease monotonically to
+    # the floor root and stop there.
     r = 1 << -(-x.bit_length() // k)
-    while True:
-        s = ((k - 1) * r + x // r ** (k - 1)) // k
-        if s >= r:
-            return r
+    if start is not None:
+        r = min(r, ((k - 1) * start + x // start ** (k - 1)) // k)
+    s = ((k - 1) * r + x // r ** (k - 1)) // k
+    while s < r:
         r = s
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+    return r
 
 
 def pow_delta(delta: Fraction, j: int) -> Fraction:
@@ -276,12 +285,20 @@ class SeqSpan:
         if isinstance(model, PowerSeq):
             # c * n^(-a/b) >= N/D  <=>  n^a <= floor(X / Y) with
             # X = (c_num * D)^b and Y = (c_den * N)^b.
+            # The real root grows by g = delta^(-b/a) per bucket, so from the
+            # last two roots r0 <= r1, r1 * r1 // r0 misses the next root by
+            # about g^2 + 2g at most, however large the roots: a start that
+            # leaves Newton little to do.
             a, b = model.p.numerator, model.p.denominator
             x = (model.c.numerator * big_d) ** b
             y = (model.c.denominator * big_n) ** b
             step_x, step_y = dd**b, dn**b
+            r0 = r1 = 0
             for _ in range(hi - lo + 1):
-                out.append(iroot(x // y, a))
+                # Through the module global, so a wrapper rebound over
+                # iroot sees every bucket.
+                r0, r1 = r1, iroot(x // y, a, r1 * r1 // r0 + 1 if r0 else None)
+                out.append(r1)
                 x *= step_x
                 y *= step_y
         else:
@@ -321,12 +338,13 @@ class SeqSpan:
     def first_bucket(self, delta: Fraction) -> int:
         """Bucket index of the first (largest) tail term."""
         lo = -1
-        while self.cum_to_bucket(delta, lo) > 0:
+        while self.cum_range(delta, lo, lo)[0] > 0:
             lo -= 16
-        hi = lo
-        while self.cum_to_bucket(delta, hi) == 0:
-            hi += 1
-        return hi
+        while True:
+            cum = self.cum_range(delta, lo, lo + 15)
+            if cum[-1] > 0:
+                return lo + next(i for i, c in enumerate(cum) if c > 0)
+            lo += 16
 
     def first_term_value(self) -> Optional[Fraction]:
         return term_value(self.model, self.start)

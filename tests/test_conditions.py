@@ -34,7 +34,7 @@ from opequiv import (
     modulus_data,
 )
 from opequiv import conditions, engine, tails
-from opequiv.tails import sparse_rule_count
+from opequiv.tails import _floor_log, pow_delta, ratio_root_lower, sparse_rule_count
 
 HALF = F(1, 2)
 
@@ -622,3 +622,161 @@ def test_deep_single_probe_reaches_both_edges(b_bucket, expected):
     b = conditions._Side(meas({b_bucket: Finite(3)}))
     assert conditions._probe_deep_single(a, b, 1, 5, 10) == expected
     assert first_deep_single(a.measure, b.measure, 1, 5, 10) == expected
+
+
+# ---------------------------------------------------------------------------
+# Eventual-domination bounds against the ladder of depths they settle at once
+
+
+def span_dom_ladder(x, y, q, delta, h_from, offset):
+    """_span_dom's bound tried at each of the 48 depths h_from + t * max(4, q)."""
+    mx, my = x.model, y.model
+    sx, sy = x.start, y.start
+    ax, ay = x.mult, y.mult
+    c0 = ay * sy - ax * sx + ax
+
+    def count_x(h0):
+        return x.count_ge(pow_delta(delta, h0 + 1)) // ax
+
+    def count_y(h0):
+        return y.count_ge(pow_delta(delta, h0 + q + 1)) // ay
+
+    def ladder(bound_ok):
+        stride = max(4, q)
+        for t in range(48):
+            h0 = h_from + t * stride
+            nx = count_x(h0)
+            if nx < 1 or count_y(h0) < 1:
+                continue
+            if bound_ok(h0, nx):
+                return True
+        return False
+
+    if isinstance(mx, PowerSeq) and isinstance(my, PowerSeq) and mx.p == my.p:
+        p = mx.p
+        big_r = (F(my.c) / F(mx.c)) * pow_delta(delta, -q)
+        rho_lo = ratio_root_lower(big_r**p.denominator, p.numerator)
+        eps = ay * rho_lo - ax
+        if eps <= 0:
+            return False
+        return ladder(lambda h0, nx: F(nx + sx - 1) * eps - c0 >= offset)
+
+    if isinstance(mx, GeometricSeq) and isinstance(my, GeometricSeq) and mx.r == my.r:
+        if ay < ax:
+            return False
+        big_r = (F(my.c) / F(mx.c)) * pow_delta(delta, -q)
+        x_lo = _floor_log(big_r, 1 / mx.r)
+        return ladder(lambda h0, nx: (ay - ax) * (nx + sx - 1) + ay * x_lo - c0 >= offset)
+
+    if isinstance(mx, FactorialSeq) and isinstance(my, FactorialSeq):
+        if ay < ax:
+            return False
+
+        def ok(h0, nx):
+            n_star = nx + sx - 1
+            return ay * (n_star - sy + 1) - ax * (n_star - sx + 1) >= offset
+
+        return ladder(ok)
+
+    return False
+
+
+span_consts = st.sampled_from([F(1, 8), F(1, 3), F(1), F(2), F(3), F(7, 2), F(100)])
+
+
+@st.composite
+def span_dom_pairs(draw):
+    family = draw(st.sampled_from(["power", "geometric", "factorial", "mixed"]))
+    if family == "power":
+        p = draw(st.sampled_from([F(1), F(5, 2), F(2, 3), F(3)]))
+        mx, my = PowerSeq(draw(span_consts), p), PowerSeq(draw(span_consts), p)
+    elif family == "geometric":
+        r = draw(st.sampled_from([F(1, 3), F(3, 5), F(9, 10)]))
+        mx, my = GeometricSeq(draw(span_consts), r), GeometricSeq(draw(span_consts), r)
+    elif family == "factorial":
+        mx = my = FactorialSeq()
+    else:
+        mx, my = PowerSeq(F(1), F(1)), GeometricSeq(F(1), F(1, 2))
+    spans = [SeqSpan(m, draw(st.integers(1, 20)), draw(st.integers(1, 3))) for m in (mx, my)]
+    return spans[0], spans[1]
+
+
+@given(
+    span_dom_pairs(),
+    st.integers(1, 64),
+    st.sampled_from([F(1, 2), F(2, 3), F(1, 10)]),
+    st.integers(-40, 60),
+    st.integers(-300, 300),
+)
+@settings(max_examples=300, deadline=None)
+def test_span_dom_matches_the_ladder(pair, q, delta, h_from, offset):
+    x, y = pair
+    expected = span_dom_ladder(x, y, q, delta, h_from, offset)
+    assert conditions._span_dom(x, y, q, delta, h_from, offset) == expected
+    assert conditions._span_dom(y, x, q, delta, h_from, -offset) == span_dom_ladder(
+        y, x, q, delta, h_from, -offset
+    )
+
+
+def deepest_rung_bounds(q, h_from):
+    """(x, y, largest certified offset) for one pair of each family at
+    delta = 1/2, worked out by hand at the depth h0 = h_from + 47 * max(4, q)."""
+    h0 = h_from + 47 * max(4, q)
+    # x: 2^-n, y: twice each of 2^-n. x counts h0 + 1 terms; the bound is
+    # (2 - 1) * (h0 + 1) + 2 * floor(log2(2^q)) - c0, with c0 = 2 - 1 + 1.
+    geometric = (
+        SeqSpan(GeometricSeq(F(1), F(1, 2))),
+        SeqSpan(GeometricSeq(F(1), F(1, 2)), 1, 2),
+        h0 + 1 + 2 * q - 2,
+    )
+    # x: 1/n, y: 2/n. x counts 2^(h0 + 1) terms, y/x's ratio is 2^(q + 1),
+    # so eps = 2^(q + 1) - 1, and c0 = 1.
+    power = (
+        SeqSpan(PowerSeq(F(1), F(1))),
+        SeqSpan(PowerSeq(F(2), F(1))),
+        2 ** (h0 + 1) * (2 ** (q + 1) - 1) - 1,
+    )
+    # x: 1/n!, y: twice each. The bound is 2n - n = n for the largest n with
+    # n! <= 2^(h0 + 1).
+    n = 1
+    while tails.factorial(n + 1) <= 2 ** (h0 + 1):
+        n += 1
+    factorial_pair = (SeqSpan(FactorialSeq()), SeqSpan(FactorialSeq(), 1, 2), n)
+    return [geometric, power, factorial_pair]
+
+
+@pytest.mark.parametrize("q", [1, 4, 9])
+@pytest.mark.parametrize("h_from", [-30, 0, 17])
+def test_span_dom_certifies_up_to_the_deepest_rung_bound(q, h_from):
+    for x, y, bound in deepest_rung_bounds(q, h_from):
+        for dom in (conditions._span_dom, span_dom_ladder):
+            assert dom(x, y, q, HALF, h_from, bound)
+            assert not dom(x, y, q, HALF, h_from, bound + 1)
+
+
+def test_span_dom_counts_at_most_twice(monkeypatch):
+    calls = []
+    real = tails.count_ge
+
+    def counting(model, start, t):
+        calls.append(t)
+        return real(model, start, t)
+
+    monkeypatch.setattr(tails, "count_ge", counting)
+    for x, y, bound in deepest_rung_bounds(4, 0):
+        for offset in (bound, bound + 1, -(10**6)):  # certified, refused, certified
+            calls.clear()
+            conditions._span_dom(x, y, 4, HALF, 0, offset)
+            assert len(calls) <= 2
+
+
+def test_left_violation_skips_the_right_direction(monkeypatch):
+    directions = []
+    real = conditions._check_direction
+    monkeypatch.setattr(
+        conditions, "_check_direction", lambda a, *rest: directions.append(a) or real(a, *rest)
+    )
+    sa, sb = conditions._prepare(meas({0: Finite(2)}), meas({3: Finite(2)}))
+    out = conditions._check_both(sa, sb, 1, None)
+    assert out.violation.side == "left"
+    assert directions == [sa]

@@ -6,6 +6,7 @@ the library's closed-form counts.
 """
 
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -186,6 +187,62 @@ def test_iroot_exact_powers():
         for r in (2, 3, 10**20 + 7, 2**400 - 1):
             assert iroot(r**k, k) == r
             assert iroot(r**k - 1, k) == r - 1
+
+
+def within_lines(fn, *args, lines=20_000):
+    """fn(*args), raising once it has run ``lines`` lines of Python.
+
+    A loop that never ends then fails the test instead of hanging it.
+    """
+    left = [lines]
+
+    def trace(frame, event, arg):
+        if event == "line":
+            left[0] -= 1
+            if left[0] < 0:
+                raise RuntimeError(f"{fn.__name__}{args[1:]} ran more than {lines} lines")
+        return trace
+
+    old = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        return fn(*args)
+    finally:
+        sys.settrace(old)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.integers(0, 10**6), st.integers(0, 2**4096)),
+    st.integers(min_value=2, max_value=7),
+    st.sampled_from(["one", "below", "at", "above", "far above"]),
+)
+def test_iroot_from_any_start_matches_cold_start(x, k, where):
+    r = within_lines(iroot, x, k)
+    start = {
+        "one": 1,
+        "below": max(r - 1, 1),
+        "at": max(r, 1),
+        "above": r + 1,
+        "far above": (r + 1) << 4200,
+    }[where]
+    assert within_lines(iroot, x, k, start) == r
+
+
+def test_iroot_start_at_exact_powers():
+    # A start at the root of an exact power is a fixed point of the Newton
+    # step, which is where a loop that does not stop on equality would spin.
+    for k in range(3, 8):
+        for r in (2, 3, 10**20 + 7, 2**400 - 1):
+            for x in (r**k - 1, r**k, r**k + 1):
+                starts = (None, 1, r - 1, r, r + 1, r << 300)
+                roots = [within_lines(iroot, x, k, start) for start in starts]
+                assert roots == [r - (x < r**k)] * len(starts)
+
+
+def test_iroot_rejects_a_start_below_one():
+    with pytest.raises(ValueError):
+        iroot(100, 3, 0)
 
 
 @given(
@@ -468,3 +525,48 @@ def test_sparse_rule_count_range_matches_per_bucket(delta, k, lo, width):
     assert sparse_rule_count_range(delta, k, lo, hi) == [
         sparse_rule_count(delta, k, h) for h in range(lo, hi + 1)
     ]
+
+
+def first_bucket_walk(span: SeqSpan, delta: F) -> int:
+    """The first bucket by one scalar count per bucket: down from -1 by 16
+    until the count is 0, then up one bucket at a time."""
+    lo = -1
+    while span.cum_to_bucket(delta, lo) > 0:
+        lo -= 16
+    hi = lo
+    while span.cum_to_bucket(delta, hi) == 0:
+        hi += 1
+    return hi
+
+
+small_starts = st.integers(1, 20)
+first_bucket_spans = st.one_of(
+    # large constants put the first term far above 1, large starts far below
+    st.builds(
+        SeqSpan,
+        st.builds(
+            PowerSeq,
+            st.fractions(min_value=F(1, 10**6), max_value=F(10**9)),
+            st.sampled_from([F(1), F(5, 2), F(2, 3), F(3), F(1, 7)]),
+        ),
+        st.one_of(small_starts, st.integers(1, 10**12)),
+        st.integers(1, 3),
+    ),
+    st.builds(
+        SeqSpan,
+        st.builds(
+            GeometricSeq,
+            st.sampled_from([F(1, 10**40), F(1, 10**9), F(3, 1000), F(1), F(10**6)]),
+            st.sampled_from([F(1, 3), F(3, 5), F(9, 10)]),
+        ),
+        small_starts,
+        st.integers(1, 3),
+    ),
+    st.builds(SeqSpan, st.just(FactorialSeq()), small_starts, st.integers(1, 3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(first_bucket_spans, range_deltas)
+def test_first_bucket_matches_bucket_walk(span, delta):
+    assert span.first_bucket(delta) == first_bucket_walk(span, delta)

@@ -52,3 +52,23 @@ def test_scan_segment_keeps_the_shape_the_tracer_unpacks():
     b = _Side(BucketMeasure(Fraction(1, 2), {3: Finite(2)}))
     hit, _ = _scan_segment(a, b, 1, -2, 5, None)
     assert hit == (-2, 3)  # window [-2, 0]: 2 values against none in [-3, 1]
+
+
+@pytest.mark.parametrize("p", [Fraction(1), Fraction(5, 2), Fraction(3)])
+def test_power_range_counts_call_iroot_once_per_bucket(monkeypatch, p):
+    # The tracer rebinds tails.iroot to a wrapper; tails.iroot_calls reads
+    # zero if the range kernel stops calling iroot through the module global.
+    from opequiv import tails
+
+    calls = []
+    real = tails.iroot
+
+    def traced(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tails, "iroot", traced)
+    span = tails.SeqSpan(tails.PowerSeq(Fraction(3), p))
+    counts = span.cum_range(Fraction(1, 2), -5, 60)
+    assert len(calls) == len(counts) == 66
+    assert counts[-1] == span.cum_to_bucket(Fraction(1, 2), 60)
