@@ -1,22 +1,45 @@
-"""Matching kernels.
+"""Window-domination and matching kernels.
 
-Both operate on plain integer arrays so the caller owns all bucket-index
-bookkeeping. Both run in near-linear time in the size of their input.
+``first_window`` is the one window-domination scan of the package: the
+matcher's hypotheses (``verify_windows``, widening 1) and the condition
+scans in ``conditions`` (any widening) both reduce to it. All kernels work
+on plain integer lists, so the caller owns the bucket-index bookkeeping, and
+run in near-linear time in the size of their input.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, groupby
+from itertools import accumulate, compress, count, groupby, islice, repeat
+from operator import gt, sub
 
 BACKEND = "python"
 
 
+def first_window(u, v):
+    """Lexicographically first (i, l) with u[i + l - 1] > v[i], else None.
+
+    Starts i run over the indices of both lists (``v`` may be shorter or
+    longer than ``u``), lengths l over 1..len(u) - i. With u[h] = Ca(h) -
+    Cb(h + q) and v[i] = Ca(i - 1) - Cb(i - 1 - q), (i, l) is a window of a
+    whose count exceeds b's window widened by q on each side.
+    """
+    if not u or not v or max(u) <= min(v):
+        return None  # no u exceeds any v: most scans stop here
+    # The first start is the first i with max(u[i:]) > v[i].
+    top = list(accumulate(reversed(u), max))
+    top.reverse()
+    i = next(compress(count(), map(gt, top, v)), None)
+    if i is None:
+        return None
+    return i, next(compress(count(1), map(gt, islice(u, i, None), repeat(v[i]))))
+
+
 def _clamped_prefix(x, lo: int, top: int) -> list[int]:
     """[P(i) for i in lo..top] where P(i) = sum(x[0..i-1]), entries outside x zero."""
-    p = list(accumulate(x, initial=0))
-    last = len(x)
-    return [p[min(max(i, 0), last)] for i in range(lo, top + 1)]
+    pad = max(0, -lo)  # zeros before x, so that P(lo) has an index
+    xs = [0] * pad + list(x[: max(top, 0)]) + [0] * max(0, top - len(x))
+    return list(accumulate(xs, initial=0))[lo + pad : top + pad + 1]
 
 
 def verify_windows(a, b, k0: int, k1: int, hi: int):
@@ -27,23 +50,15 @@ def verify_windows(a, b, k0: int, k1: int, hi: int):
     lexicographically; out-of-range entries count as zero.
 
     With prefix sums PA, PB the inequality for window (k, l) reads
-    D(k + l) > C(k), where D(e) = PA(e) - PB(e + 1) and C(k) = PA(k) - PB(k - 1).
-    A suffix maximum of D finds the first failing k in one pass; one more
-    pass over l finds its first failing length.
+    D(k + l) > C(k), where D(e) = PA(e) - PB(e + 1) and C(k) = PA(k) - PB(k - 1):
+    ``first_window`` on u = D(k0 + 1 ..) and v = C(k0 ..).
     """
     base = k0 - 1
-    pa = _clamped_prefix(a, base, hi + 2)
-    pb = _clamped_prefix(b, base, hi + 2)
-    # d[i] = D(k0 + 1 + i) for e in [k0 + 1, hi + 1]; best[i] = max(d[i:]).
-    d = [pa[e - base] - pb[e + 1 - base] for e in range(k0 + 1, hi + 2)]
-    best = list(accumulate(reversed(d), max))[::-1]
-    for k in range(k0, min(k1, hi) + 1):
-        c = pa[k - base] - pb[k - 1 - base]
-        if best[k - k0] > c:
-            for l in range(1, hi - k + 2):
-                if d[k + l - k0 - 1] > c:
-                    return (k, l)
-    return None
+    pa, pb = (_clamped_prefix(x, base, hi + 2) for x in (a, b))
+    u = list(map(sub, pa[2:], pb[3:]))  # D(e) for e in [k0 + 1, hi + 1]
+    v = list(map(sub, pa[1:], pb[: max(0, k1 - base)]))  # C(k) for k in [k0, k1]
+    hit = first_window(u, v)
+    return None if hit is None else (k0 + hit[0], hit[1])
 
 
 def sdr_match(t_buckets, s_buckets, width: int):

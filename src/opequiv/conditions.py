@@ -10,8 +10,9 @@ Infinite bucket counts are resolved by cardinal absorption: a window
 containing an infinite bucket of ``a`` is dominated iff ``b`` has an equal or
 higher infinite level within reach, and any window whose widening touches an
 infinite bucket of ``b`` is trivially dominated. What remains is
-integer-valued and decided exactly: finite stretches by a streaming scan over
-prefix sums, unbounded tails by closed-form certificates on the symbolic tail
+integer-valued and decided exactly: finite stretches by the matcher's window
+scan (``_matchcore_py.first_window``, lexicographically first window) over
+count arrays, unbounded tails by closed-form certificates on the symbolic tail
 atoms, with failures located as concrete re-checkable windows. Tail
 combinations with no certificate and no located violation raise
 UnsupportedTailError rather than guessing either way.
@@ -22,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import add, gt, mul, sub
+from operator import add, mul, sub
 from typing import Callable, Optional, Union
 
+from ._matchcore_py import first_window
 from .cardinal import Aleph, Finite, ZERO, card_add
 from .errors import DeltaMismatchError, UnsupportedTailError
 from .spectral import (
@@ -51,7 +53,6 @@ from .tails import (
 )
 
 _SCAN_SLACK = 160  # extra buckets scanned past the last structural feature
-_SCAN_CHUNK = 1024  # buckets per slice of a segment scan
 
 
 @dataclass(frozen=True)
@@ -130,16 +131,8 @@ class _Side:
             total = list(map(add, total, _atom_cum_range(a, lo, h, self.delta)))
         self.cum.extend(total)
 
-    def finite_cum(self, h: int) -> int:
-        i = h - self.base
-        if i < 0:
-            return 0
-        if i >= len(self.cum):
-            self._grow(h)
-        return self.cum[i]
-
     def cum_range(self, lo: int, hi: int) -> list[int]:
-        """[finite_cum(h) for h in lo..hi]."""
+        """Finite count in buckets <= h, for h in lo..hi."""
         base = self.base
         if hi - base >= len(self.cum):
             self._grow(hi)
@@ -224,7 +217,7 @@ def _aleph_coverage(a: _Side, b: _Side, q: int, k_min: Optional[int]):
 
 
 # ---------------------------------------------------------------------------
-# Finite-segment streaming scan
+# Finite-segment scan
 
 
 def _scan_segment(
@@ -232,36 +225,21 @@ def _scan_segment(
 ) -> tuple[Optional[tuple[int, int]], int]:
     """Exact check of every window [k, h] inside [seg_lo, seg_hi].
 
-    A violation exists iff U(h) > min_{m in [k_lo-1, h-1]} V(m) where
-    U(h) = Ca(h) - Cb(h+q) and V(m) = Ca(m) - Cb(m-q); the segment
-    construction keeps every consulted range clear of infinite buckets.
-    The segment is read _SCAN_CHUNK buckets at a time, so the scan stops at
-    the chunk holding the first violation.
-    Returns (first violation or None, final min of V over the segment).
+    The window violates iff U(h) > V(k-1), where U(h) = Ca(h) - Cb(h+q) and
+    V(m) = Ca(m) - Cb(m-q); the segment construction keeps every consulted
+    range clear of infinite buckets. Returns (lexicographically first
+    violation or None, min of V over [k_lo - 1, seg_hi]).
     """
     k_lo = seg_lo if k_min is None else max(seg_lo, k_min)
     if k_lo > seg_hi:
         return None, 0
-    run: list[int] = []  # [min of V before this chunk]; empty on the first
-    m_first = k_lo - 1  # first bucket where V reaches that min
-    for lo in range(k_lo, seg_hi + 1, _SCAN_CHUNK):
-        hi = min(lo + _SCAN_CHUNK - 1, seg_hi)
-        # Index i stands for bucket lo - 1 + i in ca and v, lo + i in over.
-        ca = a.cum_range(lo - 1, hi)
-        v = list(map(sub, ca, b.cum_range(lo - 1 - q, hi - q)))
-        v_run = list(accumulate(run + v, min))[len(run) :]
-        # over[i] is U(lo + i) > min V over [k_lo - 1, lo + i - 1].
-        over = list(map(gt, map(sub, ca[1:], b.cum_range(lo + q, hi + q)), v_run))
-        if True in over:
-            i = over.index(True)
-            # First argmin of V, so the longest violating window.
-            if not (run and run[0] == v_run[i]):
-                m_first = lo - 1 + v.index(v_run[i])
-            return (m_first + 1, lo + i - m_first), v_run[i]
-        if not (run and run[0] == v_run[-1]):
-            m_first = lo - 1 + v.index(v_run[-1])
-        run = [v_run[-1]]
-    return None, run[0]
+    ca = a.cum_range(k_lo - 1, seg_hi)
+    cb = b.cum_range(k_lo - 1 - q, seg_hi + q)
+    v = list(map(sub, ca, cb))  # V(m) for m in [k_lo - 1, seg_hi]
+    hit = first_window(list(map(sub, ca[1:], cb[2 * q + 1 :])), v)
+    if hit is not None:
+        hit = (k_lo + hit[0], hit[1])
+    return hit, min(v)
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +486,10 @@ def _probe_long_window(
     # Window [start, h] against b's [start - q, h + q] violates iff
     # Ca(h) - Cb(h + q) > Ca(start - 1) - Cb(start - 1 - q).
     end = start + max_len - 1
-    floor = a.finite_cum(start - 1) - b.finite_cum(start - 1 - q)
-    d = map(sub, a.cum_range(start, end), b.cum_range(start + q, end + q))
-    for l, dl in enumerate(d, 1):
-        if dl > floor:
-            return (start, l)
-    return None
+    ca = a.cum_range(start - 1, end)
+    cb = b.cum_range(start - 1 - q, end + q)
+    hit = first_window(list(map(sub, ca[1:], cb[2 * q + 1 :])), [ca[0] - cb[0]])
+    return None if hit is None else (start, hit[1])
 
 
 def _probe_deep_single(

@@ -7,8 +7,9 @@ in [delta^(j+1), delta^j), all values bounded by M, with a threshold bucket N.
 padding on the deficient side when allowed) whose pairwise value ratios are
 guaranteed within [delta', 1/delta'].
 
-The inner loops (the window scan and the distinct-representatives matching)
-live in ``_matchcore_py`` and run in near-linear time; the fixed point that
+The inner loops live in ``_matchcore_py`` and run in near-linear time: the
+window scan (``first_window`` at widening 1, the kernel ``conditions`` also
+scans with) and the distinct-representatives matching. The fixed point that
 splits the elements follows each chain of the two injections once.
 """
 

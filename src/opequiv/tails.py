@@ -399,7 +399,3 @@ def sparse_rule_count_range(delta: Fraction, k: int, lo: int, hi: int) -> list[i
         for j in marks[bisect.bisect_left(marks, k) : bisect.bisect_right(marks, hi)]:
             per_bucket[max(j - lo, 0)] += 1
     return list(accumulate(per_bucket))
-
-
-def sparse_rule_cum(delta: Fraction, h: int) -> int:
-    return sparse_rule_count(delta, 0, h) if h >= 0 else 0

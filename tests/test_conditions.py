@@ -33,7 +33,7 @@ from opequiv import (
     lemma_s_tilde_consistency,
     modulus_data,
 )
-from opequiv import conditions, engine, tails
+from opequiv import _matchcore_py, conditions, engine, tails
 from opequiv.tails import _floor_log, pow_delta, ratio_root_lower, sparse_rule_count
 
 HALF = F(1, 2)
@@ -335,8 +335,8 @@ count_measures = st.builds(
 def test_count_array_matches_direct_sum(m, hs, lo, width):
     side = conditions._Side(m)
     for h in hs:
-        assert side.finite_cum(h) == oracle_cum(m, h)
-    assert side.finite_cum(side.base) == 0
+        assert side.cum_range(h, h) == [oracle_cum(m, h)]
+    assert side.cum_range(side.base, side.base) == [0]
     hi = lo + width - 1  # width 0 and below: an empty range
     assert side.cum_range(lo, hi) == [oracle_cum(m, h) for h in range(lo, hi + 1)]
 
@@ -354,7 +354,7 @@ def test_growing_a_power_tail_side_counts_no_bucket_by_bucket(monkeypatch):
     for depth in (20, 200, 2000):
         calls.clear()
         side = conditions._Side(meas({}, (SeqRay(SeqSpan(PowerSeq(F(1), F(1)))),)))
-        top = side.finite_cum(side.base + depth)
+        [top] = side.cum_range(side.base + depth, side.base + depth)
         assert top == 2 ** (side.base + depth + 1)  # values 1/n >= 2^-(h+1)
         made.append(len(calls))
     assert made[0] == made[1] == made[2]
@@ -511,15 +511,13 @@ def window(m, k, h):
     return oracle_cum(m, h) - oracle_cum(m, k - 1)
 
 
-def first_segment_violation(a, b, q, k_lo, seg_hi):
-    """First end bucket h with a violating window [k, h], k >= k_lo; among
-    those windows the one with the largest excess, then the least k."""
-    for h in range(k_lo, seg_hi + 1):
-        excess = {k: window(a, k, h) - window(b, k - q, h + q) for k in range(k_lo, h + 1)}
-        top = max(excess.values())
-        if top > 0:
-            k = min(k for k, e in excess.items() if e == top)
-            return (k, h - k + 1)
+def lex_first_violation(a, b, q, k_lo, seg_hi):
+    """Least k, then least length, of a window [k, h] inside [k_lo, seg_hi]
+    whose count exceeds b's widened window [k - q, h + q]."""
+    for k in range(k_lo, seg_hi + 1):
+        for h in range(k, seg_hi + 1):
+            if window(a, k, h) > window(b, k - q, h + q):
+                return (k, h - k + 1)
     return None
 
 
@@ -548,27 +546,38 @@ finite_measures = st.builds(
     st.integers(-10, 14),
     st.integers(0, 24),
     st.sampled_from([None, 3]),
-    st.sampled_from([1, 2, 5, 1024]),
 )
 @settings(max_examples=150, deadline=None)
-def test_chunked_scan_matches_direct_window_counts(a, b, q, seg_lo, width, k_min, chunk):
+def test_segment_scan_matches_direct_window_counts(a, b, q, seg_lo, width, k_min):
     seg_hi = seg_lo + width
     k_lo = seg_lo if k_min is None else max(seg_lo, k_min)
-    saved = conditions._SCAN_CHUNK
-    conditions._SCAN_CHUNK = chunk
-    try:
-        hit, v_min = conditions._scan_segment(
-            conditions._Side(a), conditions._Side(b), q, seg_lo, seg_hi, k_min
-        )
-    finally:
-        conditions._SCAN_CHUNK = saved
+    hit, v_min = conditions._scan_segment(
+        conditions._Side(a), conditions._Side(b), q, seg_lo, seg_hi, k_min
+    )
     if k_lo > seg_hi:
         assert (hit, v_min) == (None, 0)
         return
-    assert hit == first_segment_violation(a, b, q, k_lo, seg_hi)
-    if hit is None:
-        v = [oracle_cum(a, m) - oracle_cum(b, m - q) for m in range(k_lo - 1, seg_hi + 1)]
-        assert v_min == min(v)
+    assert hit == lex_first_violation(a, b, q, k_lo, seg_hi)
+    v = [oracle_cum(a, m) - oracle_cum(b, m - q) for m in range(k_lo - 1, seg_hi + 1)]
+    assert v_min == min(v)
+
+
+finite_counts = st.dictionaries(st.integers(-4, 10), st.integers(1, 5), max_size=6)
+
+
+@given(finite_counts, finite_counts, st.integers(-6, 6), st.integers(0, 14))
+@settings(max_examples=200, deadline=None)
+def test_segment_scan_and_matcher_scan_agree_at_widening_one(ca, cb, seg_lo, width):
+    # The matcher's hypotheses are the segment windows at q = 1: dense arrays
+    # over [seg_lo - 1, seg_hi + 1] hold every count either scan reads.
+    seg_hi = seg_lo + width
+    lo = seg_lo - 1
+    dense = [[c.get(j, 0) for j in range(lo, seg_hi + 2)] for c in (ca, cb)]
+    got = _matchcore_py.verify_windows(*dense, 1, width + 1, width + 1)
+    expected = None if got is None else (got[0] + lo, got[1])
+    sides = [conditions._Side(meas({j: Finite(n) for j, n in c.items()})) for c in (ca, cb)]
+    hit, _ = conditions._scan_segment(*sides, 1, seg_lo, seg_hi, None)
+    assert hit == expected
 
 
 def first_long_window(a, b, q, start, max_len):

@@ -201,6 +201,22 @@ def test_strong_noncompact_uses_window_condition():
     assert v.holds and v.witness.delta_prime == HALF
 
 
+def test_strong_refusal_names_the_lexicographically_first_window():
+    # S doubles T's factorial tail. The scan reports the least start, then
+    # the least length; the window ending first starts later ([17, 52]).
+    t = direct_sum(I_INF, inv_fact())
+    s = direct_sum(direct_sum(I_INF, inv_fact()), inv_fact())
+    v = decide_strong(t, s, EngineParams(q_max=16))
+    assert not v.holds and v.reason == "ConditionSFailed"
+    assert v.notes == (
+        "right window at bucket 16 of length 41 is undominated at every widening up to 16",
+    )
+    # S's window [16, 56] against T's widened [0, 72], recounted directly.
+    ms, mt = modulus_data(s, HALF), modulus_data(t, HALF)
+    assert ms.window_count(16, 56) == Finite(22)
+    assert mt.window_count(16 - 16, 56 + 16) == Finite(21)
+
+
 def test_strong_matrix_against_diagonal():
     v = decide_strong(FiniteMatrix(((0.5, 0), (0, 0.25))), diag("1/2", "1/4"))
     assert v.holds and v.witness.delta_prime == F(1)

@@ -376,6 +376,36 @@ def test_verify_windows_negative_window_end_counts_zero():
     assert _matchcore_py.verify_windows([0, 7], [0, 0], -4, -3, -2) is None
 
 
+def oracle_first_window(u, v):
+    """Double loop: least start i, then least length l, with u[i + l - 1] > v[i]."""
+    for i in range(min(len(u), len(v))):
+        for l in range(1, len(u) - i + 1):
+            if u[i + l - 1] > v[i]:
+                return (i, l)
+    return None
+
+
+@pytest.mark.parametrize("extra", [-4, -1, 0, 1, 3])
+@given(st.lists(st.integers(-6, 6), max_size=12), st.data())
+@settings(max_examples=150)
+def test_first_window_matches_double_loop(extra, u, data):
+    # v shorter than, as long as and longer than u; either may be empty.
+    n = max(0, len(u) + extra)
+    v = data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+    assert _matchcore_py.first_window(u, v) == oracle_first_window(u, v)
+
+
+def test_first_window_edges():
+    assert _matchcore_py.first_window([], []) is None
+    assert _matchcore_py.first_window([5], []) is None
+    assert _matchcore_py.first_window([], [-5]) is None
+    # A later start whose window ends first loses to the earlier start.
+    assert _matchcore_py.first_window([0, 1, 9], [2, 0, 0]) == (0, 3)
+    # Past the end of v only the starts v covers count.
+    assert _matchcore_py.first_window([0, 0, 1], [0]) == (0, 3)
+    assert _matchcore_py.first_window([0, -2, 1], [1, -1]) == (1, 2)
+
+
 def oracle_sdr(t_buckets, s_buckets, width):
     """Least-slot greedy with both bisections and a linear probe per element."""
     used = [False] * len(s_buckets)
