@@ -13,8 +13,6 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate, compress, count, groupby, islice, repeat
 from operator import gt, sub
 
-BACKEND = "python"
-
 
 def first_window(u, v):
     """Lexicographically first (i, l) with u[i + l - 1] > v[i], else None.

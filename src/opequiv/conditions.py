@@ -114,6 +114,11 @@ class _Side:
         self.structural = (
             firsts + [j for j, _ in self.aleph_points] + [s for s, _ in self.aleph_rays]
         )
+        # Tail facts the certificates and the probe stretch read at every widening.
+        self.generator_key = sorted(map(_ray_like, self.finite_atoms))
+        self.spans = [x.span for x in self.finite_atoms if isinstance(x, SeqRay)]
+        self.densities = [_rule_density(x, self.delta) for x in self.finite_atoms]
+        self.explicit_total = sum(self.finite_explicit.values())
         self.cum = [0]
         self._explicit_run = 0  # explicit count in buckets <= the list's top
         self._remainder: Optional[_Side] = None
@@ -144,9 +149,6 @@ class _Side:
         if self._remainder is None:
             self._remainder = _Side(BucketMeasure(self.delta, dict(self.finite_explicit)))
         return self._remainder
-
-    def explicit_total(self) -> int:
-        return sum(self.finite_explicit.values())
 
     def aleph_at_or_reaching(self, lo: int, hi: int) -> Optional[int]:
         """Highest infinite level present in buckets [lo, hi], if any."""
@@ -326,7 +328,7 @@ def _span_dom(
 # After the finite scan has cleared everything up to h_scan, a violating
 # window [k, h] with h > h_scan must satisfy U(h) > V(k-1) with k-1 either
 # inside the last scanned segment (whose V-minimum v_last is known) or beyond
-# the scan; windows spanning a blocked position are settled by infinite-
+# the scan; windows spanning a cut position are settled by infinite-
 # bucket absorption. The certificates establish U(h) <= 0 for all h > h_scan
 # and V(m) >= 0 for all m > h_scan, which together with v_last >= 0 rules
 # every such window out.
@@ -337,10 +339,6 @@ def _ray_like(atom) -> tuple:
         s = atom.span
         return ("seq", type(s.model).__name__, repr(s.model), s.start, s.mult)
     return (type(atom).__name__, repr(atom))
-
-
-def _span_atoms(side: _Side) -> list[SeqSpan]:
-    return [a.span for a in side.finite_atoms if isinstance(a, SeqRay)]
 
 
 def _bounded_span_width(model: GeometricSeq, delta: Fraction) -> int:
@@ -411,15 +409,11 @@ def _tail_certificate(
     v_last: int,
 ) -> Optional[str]:
     """None when no window with content beyond h_scan can violate domination;
-    an explanatory string when no certificate applies."""
-    a_atoms = list(a.finite_atoms)
-    b_atoms = list(b.finite_atoms)
-    if not a_atoms:
-        return None  # beyond its explicit support a has nothing to dominate
+    an explanatory string when no certificate applies. ``a`` has tail atoms."""
     # Identical unbounded generators cancel window-by-window (the widened
     # window contains the plain one), so only the explicit remainders must
     # dominate on their own — a finite sub-problem, scanned exhaustively.
-    if sorted(map(_ray_like, a_atoms)) == sorted(map(_ray_like, b_atoms)):
+    if a.generator_key == b.generator_key:
         ea, eb = a.remainder(), b.remainder()
         idx = [seg_lo] + ea.structural + eb.structural
         hit, _ = _scan_segment(ea, eb, q, seg_lo, max(idx) + q + 2, k_min)
@@ -428,9 +422,9 @@ def _tail_certificate(
         return "identical tail generators but undominated explicit remainder"
     # Single same-family sequence spans: exact envelope analytics, with the
     # explicit masses folded in as constant offsets.
-    sa, sb = _span_atoms(a), _span_atoms(b)
-    if len(a_atoms) == 1 and len(b_atoms) == 1 and len(sa) == 1 and len(sb) == 1:
-        off_fwd = a.explicit_total() - b.explicit_total()
+    sa, sb = a.spans, b.spans
+    if len(a.finite_atoms) == len(b.finite_atoms) == len(sa) == len(sb) == 1:
+        off_fwd = a.explicit_total - b.explicit_total
         fwd = _span_dom(sa[0], sb[0], q, a.delta, h_scan, off_fwd)
         rev = _span_dom(sb[0], sa[0], q, a.delta, h_scan - q, -off_fwd)
         if fwd and rev and v_last >= 0:
@@ -442,8 +436,7 @@ def _tail_certificate(
     # Bounded per-bucket density of a against a proven per-bucket floor of b:
     # split any deep window at h_scan — the scanned part is dominated, and
     # each extra bucket of a (at most cap) is paid by one extra bucket of b.
-    da = [_rule_density(x, a.delta) for x in a_atoms]
-    db = [_rule_density(x, b.delta) for x in b_atoms]
+    da, db = a.densities, b.densities
     if all(k in ("const", "sparse", "bounded") for k, _ in da):
         cap = sum(v for _, v in da)
         floor = _exp_floor_beyond(b, h_scan, q)
@@ -458,51 +451,20 @@ def _tail_certificate(
 
 
 def _analytic_violation(
-    a: _Side, b: _Side, q: int, h_scan: int
+    a: _Side, b: _Side, q: int, h_scan: int, k_min: Optional[int]
 ) -> Optional[tuple[int, int]]:
-    """Construct-and-verify a violating window beyond the scan horizon for
-    provable growth mismatches; every candidate is exactly re-counted."""
-    a_atoms = list(a.finite_atoms)
-    if not a_atoms:
-        return None
-    try:
-        da = [_rule_density(x, a.delta) for x in a_atoms]
-        db = [_rule_density(x, b.delta) for x in b.finite_atoms]
-    except TypeError:
-        return None
-    ga = [k for k, _ in da]
-    if any(k in ("exp", "exp_root") for k in ga):
+    """Scan a stretch past the scan horizon for a violating window, deep
+    enough to show provable growth mismatches; windows start at k >= k_min."""
+    if any(k in ("exp", "exp_root") for k, _ in a.densities):
         # a's per-bucket counts grow without bound; if b's stay bounded or
         # grow strictly slower, deep single buckets violate.
-        return _probe_deep_single(a, b, q, h_scan + 1, 4 * _SCAN_SLACK)
-    dens_b = sum(v for k, v in db if k in ("const", "bounded"))
-    need = (2 * q + 4) * (int(dens_b) + 1) * 4 + 6 * _SCAN_SLACK
-    return _probe_long_window(a, b, q, h_scan + 1, need)
-
-
-def _probe_long_window(
-    a: _Side, b: _Side, q: int, start: int, max_len: int
-) -> Optional[tuple[int, int]]:
-    # Window [start, h] against b's [start - q, h + q] violates iff
-    # Ca(h) - Cb(h + q) > Ca(start - 1) - Cb(start - 1 - q).
-    end = start + max_len - 1
-    ca = a.cum_range(start - 1, end)
-    cb = b.cum_range(start - 1 - q, end + q)
-    hit = first_window(list(map(sub, ca[1:], cb[2 * q + 1 :])), [ca[0] - cb[0]])
-    return None if hit is None else (start, hit[1])
-
-
-def _probe_deep_single(
-    a: _Side, b: _Side, q: int, lo: int, tries: int
-) -> Optional[tuple[int, int]]:
-    # Bucket j = lo + i against b's [j - q, j + q].
-    ca = a.cum_range(lo - 1, lo + tries - 1)
-    cb_hi = b.cum_range(lo + q, lo + tries - 1 + q)
-    cb_lo = b.cum_range(lo - q - 1, lo + tries - q - 2)
-    for i in range(tries):
-        if ca[i + 1] - ca[i] > cb_hi[i] - cb_lo[i]:
-            return (lo + i, 1)
-    return None
+        depth = 4 * _SCAN_SLACK
+    else:
+        dens_b = sum(v for k, v in b.densities if k in ("const", "bounded"))
+        depth = (2 * q + 4) * (int(dens_b) + 1) * 4 + 6 * _SCAN_SLACK
+    start = h_scan + 1 if k_min is None else max(h_scan + 1, k_min)
+    hit, _ = _scan_segment(a, b, q, start, start + depth - 1, k_min)
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -542,9 +504,6 @@ def _check_direction(
     if hit is not None:
         return hit
 
-    blocked = set(j for j, _ in a.aleph_points)
-    for j, _ in b.aleph_points:
-        blocked.update(range(j - q, j + q + 1))
     hi_cap = None  # beyond this, windows are settled by infinite rays
     if a.aleph_ray_start is not None:
         hi_cap = a.aleph_ray_start - 1
@@ -564,16 +523,17 @@ def _check_direction(
     # Ray starts are structural, so hi_cap (when set) lies below h_scan.
     top = h_scan if hi_cap is None else min(h_scan, hi_cap)
 
+    # Segments are the runs of [lo, top] outside the cut intervals: a's
+    # infinite buckets and the reach [j - q, j + q] of each of b's.
+    cuts = [(j, j) for j, _ in a.aleph_points] + [(j - q, j + q) for j, _ in b.aleph_points]
     segments = []
     j = lo
-    while j <= top:
-        if j in blocked:
-            j += 1
-            continue
-        start = j
-        while j <= top and j not in blocked:
-            j += 1
-        segments.append((start, j - 1))
+    for cut_lo, cut_hi in sorted(cuts) + [(top + 1, top + 1)]:
+        if j > top:
+            break
+        if cut_lo > j:
+            segments.append((j, min(cut_lo - 1, top)))
+        j = max(j, cut_hi + 1)
     v_last = 0
     for seg_lo, seg_hi in segments:
         got, v_min = _scan_segment(a, b, q, seg_lo, seg_hi, k_min)
@@ -589,7 +549,7 @@ def _check_direction(
     cert = _tail_certificate(a, b, q, last_lo, h_scan, k_min, v_last)
     if cert is None:
         return None
-    found = _analytic_violation(a, b, q, h_scan)
+    found = _analytic_violation(a, b, q, h_scan, k_min)
     if found is not None:
         return found
     return cert

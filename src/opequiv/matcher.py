@@ -25,8 +25,6 @@ from .cardinal import Cardinal, Finite, ZERO
 from .errors import DeltaMismatchError, HypothesisViolationError, SpecError
 from .tails import check_delta, pow_delta
 
-KERNEL_BACKEND: str = _core.BACKEND
-
 
 class MatchMode(Enum):
     ONE_SIDED = "OneSided"

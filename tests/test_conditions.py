@@ -226,6 +226,17 @@ def test_strong_form_on_finite_measures(a, b):
         assert_violation_genuine(a, b, out)
 
 
+def test_cutoff_refusal_past_the_scan_horizon_reaches_long_windows():
+    # Two per bucket against one: at q = 400 a window [k, k + l - 1] fails
+    # only once 2l > l + 800. The cutoff puts every window past the scanned
+    # segments, so the stretch beyond them, from N on, must be that long.
+    a = meas({}, (ConstantRay(0, Finite(2)),))
+    b = meas({}, (ConstantRay(0, Finite(1)),))
+    out = condition_s_tilde_outcome(a, b, q_max=400, n_max=1000)
+    assert out.violation == conditions.WindowViolation("left", 1000, 801)
+    assert_violation_genuine(a, b, out, k_min=1000)
+
+
 @given(finite_measures, finite_measures)
 @settings(max_examples=150)
 def test_cutoff_form_on_finite_measures(a, b):
@@ -249,6 +260,27 @@ def test_aleph_point_distance_sets_the_reach(ja, jb, level):
     out = condition_s_outcome(a, b)
     assert out.present
     assert out.q_used == max(1, abs(ja - jb))
+
+
+point_measures = st.dictionaries(
+    st.integers(-4, 8),
+    st.one_of(st.integers(0, 5).map(Finite), st.sampled_from([ALEPH0, Aleph(1)])),
+    max_size=6,
+).map(meas)
+
+
+@given(point_measures, point_measures, st.integers(1, 3), st.sampled_from([None, 0, 3]))
+@settings(max_examples=300, deadline=None)
+def test_segments_between_infinite_points_match_brute_force(a, b, q, k_min):
+    # Windows whose widening reaches an infinite bucket of b are dominated and
+    # those holding one of a's are settled by coverage; the segments cut out
+    # between them must hold every other window.
+    out = conditions._check_both(*conditions._prepare(a, b), q, k_min)
+    idx = list(a.buckets) + list(b.buckets) + [0]
+    lo, hi, span = min(idx) - 1, max(idx) + 1, max(idx) - min(idx) + 3
+    assert out.present == dominated(a, b, q, lo, hi, span, k_min)
+    if not out.present:
+        assert_violation_genuine(a, b, out, k_min)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +413,29 @@ def test_first_buckets_are_found_once_per_side(monkeypatch):
     assert calls == [a.atoms[0], b.atoms[0]]
 
 
+def test_tail_facts_are_computed_once_per_side(monkeypatch):
+    calls = []
+    for name in ("_ray_like", "_rule_density"):
+        real = getattr(conditions, name)
+        monkeypatch.setattr(
+            conditions, name, lambda x, *rest, real=real: calls.append(x) or real(x, *rest)
+        )
+    checks = []
+    real_check = conditions._check_both
+    monkeypatch.setattr(
+        conditions, "_check_both", lambda *args: checks.append(args[2]) or real_check(*args)
+    )
+    a = meas({2: Finite(3), 5: Finite(4)}, (SeqRay(SeqSpan(PowerSeq(F(1), F(1)))),))
+    b = meas({}, (SeqRay(SeqSpan(PowerSeq(F(1, 8), F(1)))),))
+    sa, sb = conditions._prepare(a, b)
+    assert (sa.explicit_total, sb.explicit_total) == (7, 0)
+    assert sa.spans == [a.atoms[0].span] and sb.densities == [("exp_root", F(1))]
+    calls.clear()
+    out = condition_s_outcome(a, b, q_max=16)
+    assert out.present and len(set(checks)) > 2  # several widenings tried
+    assert calls == [a.atoms[0], a.atoms[0], b.atoms[0], b.atoms[0]]
+
+
 # ---------------------------------------------------------------------------
 # Galloping search against the linear search it replaces
 
@@ -503,7 +558,7 @@ def test_uncertified_q_max_refuses_with_its_own_note(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Segment scan and probes against direct window counts
+# Segment scan against direct window counts
 
 
 def window(m, k, h):
@@ -580,57 +635,27 @@ def test_segment_scan_and_matcher_scan_agree_at_widening_one(ca, cb, seg_lo, wid
     assert hit == expected
 
 
-def first_long_window(a, b, q, start, max_len):
-    for l in range(1, max_len + 1):
-        h = start + l - 1
-        if window(a, start, h) > window(b, start - q, h + q):
-            return (start, l)
-    return None
-
-
-def first_deep_single(a, b, q, lo, tries):
-    for j in range(lo, lo + tries):
-        if window(a, j, j) > window(b, j - q, j + q):
-            return (j, 1)
-    return None
-
-
-@given(
-    finite_measures,
-    finite_measures,
-    st.sampled_from([1, 2, 5, 64, 82, 120]),
-    st.integers(-10, 30),
-    st.integers(1, 40),
-)
-@settings(max_examples=150, deadline=None)
-def test_probes_match_direct_window_counts(a, b, q, start, length):
-    sa, sb = conditions._Side(a), conditions._Side(b)
-    assert conditions._probe_long_window(sa, sb, q, start, length) == first_long_window(
-        a, b, q, start, length
-    )
-    assert conditions._probe_deep_single(sa, sb, q, start, length) == first_deep_single(
-        a, b, q, start, length
-    )
-
-
 @pytest.mark.parametrize("q, expected", [(1, (10, 3)), (100, (10, 111))])
-def test_long_window_probe_on_constant_densities(q, expected):
+def test_segment_scan_on_constant_densities(q, expected):
     # Two per bucket against one per bucket: the window [10, 9 + l] holds 2l
     # against b's l + 2q when b's widened window stays inside b's ray, and
     # l + 10 + q once it reaches below bucket 0.
     a = conditions._Side(meas({}, atoms=(ConstantRay(0, Finite(2)),)))
     b = conditions._Side(meas({}, atoms=(ConstantRay(0, Finite(1)),)))
-    assert conditions._probe_long_window(a, b, q, 10, 200) == expected
-    assert first_long_window(a.measure, b.measure, q, 10, 200) == expected
+    hit, _ = conditions._scan_segment(a, b, q, 10, 209, None)
+    assert hit == expected
+    assert lex_first_violation(a.measure, b.measure, q, 10, 209) == expected
 
 
-@pytest.mark.parametrize("b_bucket, expected", [(8, (10, 1)), (9, None), (11, None), (12, (10, 1))])
-def test_deep_single_probe_reaches_both_edges(b_bucket, expected):
-    # Bucket 10 of a holds 3; b's widened window [9, 11] must hold them.
+@pytest.mark.parametrize("b_bucket, expected", [(8, (10, 1)), (9, None), (11, None), (12, (5, 6))])
+def test_segment_scan_reaches_both_edges_of_the_widening(b_bucket, expected):
+    # Bucket 10 of a holds 3; b's widened window [9, 11] must hold them. With
+    # b at 12, the window [5, 10] already fails against b's [4, 11].
     a = conditions._Side(meas({10: Finite(3)}))
     b = conditions._Side(meas({b_bucket: Finite(3)}))
-    assert conditions._probe_deep_single(a, b, 1, 5, 10) == expected
-    assert first_deep_single(a.measure, b.measure, 1, 5, 10) == expected
+    hit, _ = conditions._scan_segment(a, b, 1, 5, 14, None)
+    assert hit == expected
+    assert lex_first_violation(a.measure, b.measure, 1, 5, 14) == expected
 
 
 # ---------------------------------------------------------------------------

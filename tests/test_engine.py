@@ -12,6 +12,7 @@ from opequiv import (
     BucketMeasure,
     Buckets,
     CompactDiagonal,
+    ConstantRay,
     DeltaRangeError,
     EngineParams,
     EquivalenceWitness,
@@ -301,6 +302,22 @@ def test_extension_noncompact_pair_failing_cutoff():
     v = decide_extension_family(direct_sum(inv_n(), I_INF), I_INF)
     assert not v.holds and v.reason == "ConditionSTildeFailed"
     assert v.notes  # carries the located window description
+
+
+def test_cutoff_refusal_names_a_window_past_the_cutoff():
+    # T holds 2 per bucket, S 1 per bucket, both beside aleph0 at -1. The
+    # stretch past the scan horizon starts at the cutoff, not below it.
+    mt = BucketMeasure(HALF, {-1: ALEPH0}, atoms=(ConstantRay(0, Finite(2)),))
+    ms = BucketMeasure(HALF, {-1: ALEPH0}, atoms=(ConstantRay(0, Finite(1)),))
+    v = decide_extension_family(Buckets(mt), Buckets(ms), EngineParams(q_max=4, n_max=1000))
+    assert not v.holds and v.reason == "ConditionSTildeFailed"
+    assert v.notes == (
+        "left window at bucket 1000 of length 9 is undominated at every "
+        "widening up to 4 with cutoff 1000",
+    )
+    # T's window [1000, 1008] against S's widened [996, 1012], recounted.
+    assert mt.window_count(1000, 1008) == Finite(18)
+    assert ms.window_count(996, 1012) == Finite(17)
 
 
 def test_extension_finite_bucket_data_decides_by_dimensions():

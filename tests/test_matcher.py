@@ -12,7 +12,6 @@ from opequiv import (
     DeltaMismatchError,
     Finite,
     HypothesisViolationError,
-    KERNEL_BACKEND,
     MatchMode,
     SpecError,
     ZERO,
@@ -322,11 +321,6 @@ def test_fixed_point_matches_iterated_oracle(pair, mode):
 
 # ---------------------------------------------------------------------------
 # Kernels
-
-
-def test_backend_label():
-    assert KERNEL_BACKEND == "python"
-    assert _matchcore_py.BACKEND == "python"
 
 
 def oracle_windows(a, b, k0, k1, hi):
