@@ -218,10 +218,9 @@ def _measure(obj: dict, path: str) -> BucketMeasure:
 
 
 def _matrix_entry(node, path: str) -> complex:
+    """An entry other than a plain int or float, which the caller converts."""
     if isinstance(node, bool):
         _fail(path, f"expected a number, got {node!r}")
-    if isinstance(node, (int, float)):
-        return complex(node)
     if isinstance(node, str):
         return complex(float(_frac(node, path)))
     if isinstance(node, list) and len(node) == 2:

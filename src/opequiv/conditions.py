@@ -342,13 +342,9 @@ def _ray_like(atom) -> tuple:
 
 
 def _bounded_span_width(model: GeometricSeq, delta: Fraction) -> int:
-    """Max values of a geometric sequence sharing one bucket: ceil(log_r delta)+1."""
-    w = 1
-    acc = Fraction(model.r)
-    while acc > delta and w < 256:
-        acc *= model.r
-        w += 1
-    return w + 1
+    """Max values of a geometric sequence sharing one bucket: w + 1 for the
+    least w >= 1 with r^w <= delta, that is w = ceil(log_r delta)."""
+    return 1 - _floor_log(delta, 1 / model.r)
 
 
 def _rule_density(atom, delta: Fraction):
@@ -368,35 +364,6 @@ def _rule_density(atom, delta: Fraction):
     if isinstance(m, FactorialSeq):
         return ("sparse", Fraction(span.mult))
     raise TypeError(f"unknown atom {atom!r}")
-
-
-def _growth_lower(p: Fraction, delta: Fraction) -> Fraction:
-    """Rational lower bound for the per-bucket ratio delta^(-1/p) > 1."""
-    x = pow_delta(delta, -p.denominator)
-    return ratio_root_lower(x, p.numerator)
-
-
-def _exp_floor_beyond(side: _Side, j0: int, q: int) -> Optional[Fraction]:
-    """A proven lower bound on side's count in every single bucket j' > j0 - q,
-    using only atoms with provable growth; None when no bound is derivable."""
-    best = Fraction(0)
-    for atom in side.finite_atoms:
-        if isinstance(atom, GeometricRay) and j0 - q >= atom.start:
-            cand = Fraction(atom.base) ** (j0 - q)  # counts are monotone
-            if cand > best:
-                best = cand
-        if isinstance(atom, SeqRay) and isinstance(atom.span.model, PowerSeq):
-            span = atom.span
-            g_lo = _growth_lower(span.model.p, side.delta)
-            if g_lo <= 1:
-                continue
-            cum = span.count_ge(pow_delta(side.delta, j0 - q + 1))
-            # One deeper bucket holds floor(g*X) - floor(X) values per copy,
-            # at least cum-so-far * (g_lo - 1) - mult in total.
-            cand = cum * (g_lo - 1) - span.mult
-            if cand > best:
-                best = cand
-    return best if best > 0 else None
 
 
 def _tail_certificate(
@@ -433,19 +400,18 @@ def _tail_certificate(
             "no eventual-domination certificate for tail pair "
             f"{type(sa[0].model).__name__} vs {type(sb[0].model).__name__}"
         )
-    # Bounded per-bucket density of a against a proven per-bucket floor of b:
-    # split any deep window at h_scan — the scanned part is dominated, and
-    # each extra bucket of a (at most cap) is paid by one extra bucket of b.
+    # Bounded per-bucket density of a against constant densities of b: split
+    # any deep window at h_scan — the scanned part is dominated, and each
+    # extra bucket of a (at most cap) is paid by one extra bucket of b. A
+    # growing b (a GeometricRay or a power span) gets no certificate: the pair
+    # could not hold anyway, since b -> a is then never certified. The two
+    # tests above are symmetric, b's growth keeps it out of this one, and an
+    # infinite ray settles both directions before any certificate.
     da, db = a.densities, b.densities
     if all(k in ("const", "sparse", "bounded") for k, _ in da):
         cap = sum(v for _, v in da)
-        floor = _exp_floor_beyond(b, h_scan, q)
-        if floor is not None and floor >= cap:
+        if all(k == "const" for k, _ in db) and sum(v for _, v in db) >= cap:
             return None
-        if all(k == "const" for k, _ in db):
-            cb = sum(v for k, v in db)
-            if cb >= cap:
-                return None
         return "bounded tail density without a dominating coverage bound"
     return "unsupported tail atom combination"
 
@@ -469,15 +435,6 @@ def _analytic_violation(
 
 # ---------------------------------------------------------------------------
 # One direction at one widening
-
-
-def _has_sparse(side: _Side) -> bool:
-    for x in side.finite_atoms:
-        if isinstance(x, SparseRay):
-            return True
-        if isinstance(x, SeqRay) and isinstance(x.span.model, FactorialSeq):
-            return True
-    return False
 
 
 def _sparse_depth(a: _Side, b: _Side, q: int) -> int:
@@ -518,7 +475,7 @@ def _check_direction(
     if k_min is not None:
         lo = max(lo, k_min)
     h_scan = max(structural) + q + 2 + _SCAN_SLACK
-    if _has_sparse(a) or _has_sparse(b):
+    if any(k == "sparse" for k, _ in a.densities + b.densities):
         h_scan = max(h_scan, _sparse_depth(a, b, q) + 2 * q + 8)
     # Ray starts are structural, so hi_cap (when set) lies below h_scan.
     top = h_scan if hi_cap is None else min(h_scan, hi_cap)

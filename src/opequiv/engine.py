@@ -610,7 +610,8 @@ def build_witness(
 
     With ``extension`` set, the pairing t_n <-> s_{n+extension} is certified
     instead (the shifted head becomes the extension); for purely bucketed
-    pairs the element-level pairing is produced by the window matcher.
+    pairs the element-level pairing is produced by the window matcher. Any
+    other holding verdict returns the witness it carries.
     """
     p = params or EngineParams()
     if extension is not None:
@@ -642,15 +643,6 @@ def build_witness(
         if got is not None:
             return got
         return _coarse_witness(ma, mb, p.delta)
-    if verdict.witness is not None:
-        return verdict.witness
-    redo = (
-        decide_strong(tt, ss, p)
-        if verdict.relation == RELATION_STRONG
-        else decide_extension_family(tt, ss, p)
-    )
-    if redo.witness is not None:
-        return redo.witness
-    ma = modulus_data(tt, p.delta, p.svd_tol)
-    mb = modulus_data(ss, p.delta, p.svd_tol)
-    return _coarse_witness(ma, mb, p.delta)
+    if verdict.witness is None:
+        raise SpecError("the holding verdict carries no witness")
+    return verdict.witness

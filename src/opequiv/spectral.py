@@ -219,24 +219,7 @@ class BucketMeasure:
             total = card_add(total, atom.window_count(k, h, self.delta))
         return total
 
-    def finite_count_at(self, j: int) -> int:
-        c = self.count_at(j)
-        if not is_finite(c):
-            raise SpecError(f"bucket {j} is infinite where a finite count was needed")
-        return c.n
-
-    # -- support and classification
-
-    def support_min(self) -> Optional[int]:
-        lows = [j for j in self.buckets]
-        lows.extend(atom.first_bucket(self.delta) for atom in self.atoms)
-        return min(lows) if lows else None
-
-    def bounded_support_max(self) -> Optional[int]:
-        """Largest nonzero bucket, or None when the support is unbounded."""
-        if self.atoms:
-            return None
-        return max(self.buckets) if self.buckets else None
+    # -- totals and classification
 
     def total_mass(self) -> Cardinal:
         total = card_sum(self.buckets.values())
@@ -271,9 +254,6 @@ class BucketMeasure:
     def has_closed_range(self) -> bool:
         """Spectrum bounded away from zero: no counts beyond some bucket."""
         return not self.atoms
-
-    def is_noncompact(self) -> bool:
-        return not self.is_compact()
 
     def to_json(self) -> dict:
         out = {
@@ -625,9 +605,6 @@ class ValueInventory:
     aleph_values: tuple[tuple[Fraction, int], ...]
     kernel_dim: Cardinal
     cokernel_dim: Cardinal
-
-    def is_compact_data(self) -> bool:
-        return not self.aleph_values
 
 
 def flatten_values(

@@ -333,6 +333,29 @@ def test_inspect_reports_measures():
     assert "T: 3 buckets" in summary
 
 
+def test_decide_aligns_sequence_spans_that_start_apart():
+    # 1/n from n = 1 against 1/n from n = 2: the leading 1 joins the infinite
+    # bucket, after which the two generators are identical.
+    def operand(model_start):
+        power = {"kind": "power_law", "c": "1", "p": "1"}
+        return {
+            "kind": "buckets",
+            "delta": "1/2",
+            "buckets": {"-1": "aleph0"},
+            "tails": [
+                {"kind": "constant", "start": 0, "count": 1},
+                {"kind": "sequence", "model": power, "model_start": model_start},
+            ],
+        }
+
+    parsed = parse_spec(doc(operand(1), operand(2), relation="strong", q_max=8))
+    report, _, code = run("decide", parsed)
+    assert code == 0
+    assert report["holds"] is True
+    assert report["witness"]["delta_prime"] == "1/2"
+    assert report["notes"] == ["window widening exponent 1"]
+
+
 def test_match_reports_pairing_and_case():
     parsed = parse_spec(
         doc(

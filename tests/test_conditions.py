@@ -814,3 +814,168 @@ def test_left_violation_skips_the_right_direction(monkeypatch):
     out = conditions._check_both(sa, sb, 1, None)
     assert out.violation.side == "left"
     assert directions == [sa]
+
+
+# ---------------------------------------------------------------------------
+# Bounded densities: the exact width of a geometric span
+
+
+@pytest.mark.parametrize("r", [F(1, 3), F(1, 2), F(2, 3), F(39, 40), F(999, 1000)])
+@pytest.mark.parametrize("delta", [F(1, 2), F(1, 3), F(1, 1000)])
+def test_geometric_span_width_is_one_past_the_least_power_below_delta(r, delta):
+    w, acc = 1, r
+    while acc > delta:
+        acc, w = acc * r, w + 1
+    assert conditions._bounded_span_width(GeometricSeq(F(1), r), delta) == w + 1
+
+
+def test_bounded_certificate_refuses_a_wide_geometric_span():
+    # 1, 39/40, (39/40)^2, ... puts 272-273 values in each bucket at delta
+    # 1/1000, more than the 260 per bucket of S: the width must not be capped.
+    delta = F(1, 1000)
+    t = meas({-1: ALEPH0}, (SeqRay(SeqSpan(GeometricSeq(F(1), F(39, 40)))),), delta)
+    s = meas({-1: ALEPH0}, (ConstantRay(0, Finite(260)),), delta)
+    assert t.window_count(20, 419) == Finite(109137)  # window [20, 419] at q = 8
+    assert s.window_count(12, 427) == Finite(108160)
+    a, b = conditions._Side(t), conditions._Side(s)
+    assert a.densities == [("bounded", F(274))]
+    got = conditions._tail_certificate(a, b, 8, 0, 500, None, 0)
+    assert got == "bounded tail density without a dominating coverage bound"
+
+
+# ---------------------------------------------------------------------------
+# Span alignment
+
+
+def power_from(model_start):
+    span = SeqSpan(PowerSeq(F(1), F(1)), model_start)
+    return meas({-1: ALEPH0}, (ConstantRay(0, Finite(1)), SeqRay(span)))
+
+
+def test_span_alignment_moves_the_earlier_start():
+    # Without alignment the two generators differ and no certificate applies.
+    t, s = power_from(1), power_from(2)
+    aligned, same = conditions._align_seq_rays(t, s)
+    assert same is s and aligned.atoms[1].span.start == 2
+    out = condition_s_outcome(t, s, q_max=8)
+    assert out.present and out.q_used == 1 and out.delta_prime == HALF
+
+
+# ---------------------------------------------------------------------------
+# The per-bucket floor that the bounded-density certificate once applied
+# against a growing b, kept as an oracle: it certified a -> b only when b -> a
+# had no certificate, so removing it changes no outcome and no note.
+
+
+def exp_floor_beyond(side, j0, q):
+    """A proven lower bound on side's count in every single bucket j' > j0 - q,
+    using only atoms with provable growth; None when no bound is derivable."""
+    best = F(0)
+    for atom in side.finite_atoms:
+        if isinstance(atom, GeometricRay) and j0 - q >= atom.start:
+            best = max(best, F(atom.base) ** (j0 - q))
+        if isinstance(atom, SeqRay) and isinstance(atom.span.model, PowerSeq):
+            span = atom.span
+            p = span.model.p
+            g_lo = ratio_root_lower(pow_delta(side.delta, -p.denominator), p.numerator)
+            if g_lo <= 1:
+                continue
+            cum = span.count_ge(pow_delta(side.delta, j0 - q + 1))
+            best = max(best, cum * (g_lo - 1) - span.mult)
+    return best if best > 0 else None
+
+
+def certificate_with_floor(fired):
+    real = conditions._tail_certificate
+
+    def certify(a, b, q, seg_lo, h_scan, k_min, v_last):
+        got = real(a, b, q, seg_lo, h_scan, k_min, v_last)
+        if got == "bounded tail density without a dominating coverage bound":
+            floor = exp_floor_beyond(b, h_scan, q)
+            if floor is not None and floor >= sum(v for _, v in a.densities):
+                fired.append((a, b, q))
+                return None
+        return got
+
+    return certify
+
+
+def outcome_or_note(form, t, s, *limits):
+    try:
+        return form(t, s, *limits)
+    except UnsupportedTailError as e:
+        return str(e)
+
+
+def with_and_without_floor(form, t, s, *limits):
+    fired = []
+    plain = outcome_or_note(form, t, s, *limits)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conditions, "_tail_certificate", certificate_with_floor(fired))
+        floored = outcome_or_note(form, t, s, *limits)
+    return plain, floored, fired
+
+
+def test_floor_settled_pair_keeps_its_outcome():
+    t = meas({-1: ALEPH0}, (ConstantRay(0, Finite(3)),))
+    s = meas({-1: ALEPH0}, (GeometricRay(0, 2),))
+    plain, floored, fired = with_and_without_floor(condition_s_outcome, t, s, 8)
+    assert fired and plain == floored
+    assert plain.violation == conditions.WindowViolation("right", 8, 1)
+
+
+small_starts = st.integers(0, 5)
+bounded_atoms = st.one_of(
+    st.builds(ConstantRay, small_starts, st.integers(1, 4).map(Finite)),
+    st.builds(SparseRay, small_starts),
+    st.builds(
+        lambda c, r, start, mult: SeqRay(SeqSpan(GeometricSeq(c, r), start, mult)),
+        st.sampled_from([F(1), F(1, 2), F(3)]),
+        st.sampled_from([F(1, 5), F(1, 3), F(1, 2), F(2, 3)]),
+        st.integers(1, 4),
+        st.integers(1, 2),
+    ),
+    st.builds(
+        lambda start, mult: SeqRay(SeqSpan(FactorialSeq(), start, mult)),
+        st.integers(1, 4),
+        st.integers(1, 2),
+    ),
+)
+growing_atoms = st.one_of(
+    st.builds(GeometricRay, small_starts, st.integers(2, 3)),
+    st.builds(
+        lambda c, p, start, mult: SeqRay(SeqSpan(PowerSeq(c, p), start, mult)),
+        st.sampled_from([F(1), F(1, 4), F(5)]),
+        st.sampled_from([F(1), F(2), F(3), F(1, 2), F(5, 2)]),
+        st.integers(1, 4),
+        st.integers(1, 2),
+    ),
+)
+
+
+@st.composite
+def floor_pairs(draw):
+    """(bounded side, growing side): the only shape the floor could certify."""
+
+    def side(atoms):
+        buckets = draw(st.dictionaries(st.integers(-2, 8), st.integers(1, 3).map(Finite), max_size=3))
+        if draw(st.booleans()):
+            buckets[-1] = ALEPH0
+        return meas(buckets, tuple(atoms))
+
+    bounded = side(draw(st.lists(bounded_atoms, min_size=1, max_size=2)))
+    extra = draw(st.lists(bounded_atoms, max_size=1))
+    growing = side([draw(growing_atoms)] + extra)
+    return bounded, growing
+
+
+@given(floor_pairs(), st.booleans(), st.integers(1, 4), st.sampled_from([4, 16, 64]))
+@settings(max_examples=60, deadline=None)
+def test_removed_floor_changes_no_outcome_or_note(pair, bounded_left, q_max, n_max):
+    t, s = pair if bounded_left else pair[::-1]
+    for form, limits in (
+        (condition_s_outcome, (q_max,)),
+        (condition_s_tilde_outcome, (q_max, n_max)),
+    ):
+        plain, floored, _ = with_and_without_floor(form, t, s, *limits)
+        assert plain == floored

@@ -107,6 +107,11 @@ def test_comparable_after_shift_table():
     assert comparable_after_shift(inv_n(), inv_fact()) is None
 
 
+def test_comparable_after_shift_tries_the_length_difference_of_finite_data():
+    assert comparable_after_shift(diag("1/4", "1/8"), diag("1/4")) == (-1, HALF)
+    assert comparable_after_shift(diag("1/4"), diag("1/2", "1/4")) == (1, F(1))
+
+
 def test_comparable_after_shift_rejects_infinite_identities():
     with pytest.raises(SpecError):
         comparable_after_shift(I_INF, I_INF)
@@ -369,6 +374,13 @@ def test_build_witness_defaults_to_verdict_witness():
     t = s = inv_n()
     v = decide_extension_family(t, s)
     assert build_witness(t, s, v) == v.witness
+
+
+def test_build_witness_needs_the_verdicts_own_witness():
+    t = s = inv_n()
+    bare = Verdict("extension", True, "Established")
+    with pytest.raises(SpecError, match="carries no witness"):
+        build_witness(t, s, bare)
 
 
 # ---------------------------------------------------------------------------

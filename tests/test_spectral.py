@@ -154,29 +154,16 @@ def test_window_count_sums_pointwise():
             assert m.window_count(k, h) == expected
 
 
-def test_finite_count_at_rejects_infinite():
-    m = meas({1: ALEPH0})
-    assert m.finite_count_at(0) == 0
-    with pytest.raises(SpecError):
-        m.finite_count_at(1)
-
-
 def test_support_and_classification():
     empty = meas({})
-    assert empty.support_min() is None
-    assert empty.bounded_support_max() is None
     assert empty.total_mass() == ZERO
     assert empty.is_compact() and empty.has_closed_range()
 
     finite = meas({-1: Finite(2), 3: Finite(1)})
-    assert finite.support_min() == -1
-    assert finite.bounded_support_max() == 3
     assert finite.total_mass() == Finite(3)
     assert finite.is_compact() and finite.has_closed_range()
 
     tailed = meas({0: Finite(1)}, atoms=(ConstantRay(4, Finite(1)),))
-    assert tailed.support_min() == 0
-    assert tailed.bounded_support_max() is None  # unbounded support
     assert tailed.total_mass() == ALEPH0
     assert tailed.is_compact() and not tailed.has_closed_range()
 
@@ -186,7 +173,7 @@ def test_support_and_classification():
 
     fat_ray = meas({}, atoms=(ConstantRay(0, Aleph(1)),))
     assert fat_ray.aleph_rays() == [(0, 1)]
-    assert fat_ray.is_noncompact() and not fat_ray.has_closed_range()
+    assert not fat_ray.is_compact() and not fat_ray.has_closed_range()
 
 
 def test_domain_and_codomain_dims():
@@ -495,7 +482,6 @@ def test_flatten_values_collects_and_sorts():
     inv = flatten_values(spec)
     assert inv.values == (F(3), F(3), F(1, 4))
     assert inv.spans == () and inv.aleph_values == ()
-    assert inv.is_compact_data()
 
 
 def test_flatten_values_merges_equal_tails_into_multiplicity():
@@ -508,7 +494,6 @@ def test_flatten_values_merges_equal_tails_into_multiplicity():
 def test_flatten_values_records_infinite_identities():
     inv = flatten_values(ScaledIdentity(F(1, 2), ALEPH0))
     assert inv.aleph_values == ((F(1, 2), 0),)
-    assert not inv.is_compact_data()
 
 
 def test_flatten_values_accumulates_defects():
