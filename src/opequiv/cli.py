@@ -18,10 +18,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
+
+import numpy as np
 
 from .cardinal import Cardinal, ZERO, card_from_json, card_to_json
 from .engine import (
@@ -99,21 +103,33 @@ def _obj(node, path: str, required: tuple, optional: tuple = ()) -> dict:
     return node
 
 
-def _frac(node, path: str, allow_float: bool = False) -> Fraction:
+def _frac(node, path: str) -> Fraction:
     if isinstance(node, Fraction):  # internal defaults; JSON never produces these
         return node
     if isinstance(node, bool):
         _fail(path, f"expected a rational, got {node!r}")
     if isinstance(node, float):
-        if not allow_float:
-            _fail(path, "floating-point numbers are not exact here; use a 'p/q' string")
-        return Fraction(node)
+        _fail(path, "floating-point numbers are not exact here; use a 'p/q' string")
     if not isinstance(node, (int, str)):
         _fail(path, f"expected an integer or a 'p/q' string, got {type(node).__name__}")
     try:
         return Fraction(node)
     except (ValueError, ZeroDivisionError) as e:
         _fail(path, f"bad rational {node!r}: {e}")
+
+
+def _svd_tol(node, path: str) -> Fraction:
+    """The rank tolerance: a rational or a finite float, within the float range."""
+    if isinstance(node, float):
+        if not math.isfinite(node):
+            _fail(path, f"expected a finite number, got {node!r}")
+        return Fraction(node)
+    tol = _frac(node, path)
+    try:
+        float(tol)  # the rank rule compares singular values with float(tol) * sigma_max
+    except OverflowError:
+        _fail(path, f"svd_tol {node!r} lies beyond the float range")
+    return tol
 
 
 def _card(node, path: str) -> Cardinal:
@@ -217,17 +233,99 @@ def _measure(obj: dict, path: str) -> BucketMeasure:
         _fail(path, str(e))
 
 
+_NOT_FINITE = "matrix entries must be finite and within the float range"
+
+
 def _matrix_entry(node, path: str) -> complex:
-    """An entry other than a plain int or float, which the caller converts."""
+    """One matrix entry, converted on its own so that an error names its pointer."""
     if isinstance(node, bool):
         _fail(path, f"expected a number, got {node!r}")
-    if isinstance(node, str):
-        return complex(float(_frac(node, path)))
-    if isinstance(node, list) and len(node) == 2:
-        re, im = node
-        if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re, im)):
-            return complex(re, im)
-    _fail(path, f"expected a number, 'p/q' string, or [re, im] pair, got {node!r}")
+    try:
+        if isinstance(node, (int, float)):
+            value = complex(node)
+        elif isinstance(node, str):
+            value = complex(float(_frac(node, path)))
+        elif (
+            isinstance(node, list)
+            and len(node) == 2
+            and all(type(x) in (int, float) for x in node)
+        ):
+            value = complex(*node)
+        else:
+            _fail(path, f"expected a number, 'p/q' string, or [re, im] pair, got {node!r}")
+    except OverflowError:
+        _fail(path, _NOT_FINITE)
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        _fail(path, _NOT_FINITE)
+    return value
+
+
+_NUMBERS = {int, float}
+# A row of strict "p/q" or integer strings, joined by single spaces: ASCII
+# digits, no sign but a leading minus, no spaces or underscores, and a
+# denominator that starts with 1-9. Rows of these skip Fraction.
+_STRICT_ROW = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?(?: -?[0-9]+(?:/[1-9][0-9]*)?)*")
+
+
+def _fast_row(row: list, out: np.ndarray) -> bool:
+    """Fill out (one complex row) from a row of plain numbers, strict "p/q"
+    strings or [re, im] number pairs; False for any other row, or an entry
+    beyond the float range, which the per-entry path then reports.
+
+    Each value is the one _matrix_entry gives: int / int true division is
+    correctly rounded, as float(Fraction) is.
+    """
+    pairs = out.view(float)  # re, im interleaved
+    kinds = set(map(type, row))
+    try:
+        if kinds <= _NUMBERS:
+            pairs[::2] = row
+            return float not in kinds or np.isfinite(pairs).all()
+        if kinds == {str}:
+            text = " ".join(row)
+            if not _STRICT_ROW.fullmatch(text):
+                return False
+            values = []
+            for s in row:
+                p, _, q = s.partition("/")
+                values.append(int(p) / int(q) if q else int(p))
+            pairs[::2] = values
+            return True
+        if kinds == {list} and set(map(len, row)) == {2}:
+            flat = [x for pair in row for x in pair]
+            if set(map(type, flat)) <= _NUMBERS:
+                pairs[:] = flat
+                return np.isfinite(pairs).all()
+    except (OverflowError, ValueError):  # beyond float range, or int()'s digit limit
+        pass
+    return False
+
+
+def _matrix_rows(rows, path: str) -> np.ndarray:
+    """The matrix of a "rows" node, as a complex128 array.
+
+    Errors come in document order: the first bad row or entry, then unequal
+    row lengths.
+    """
+    if not isinstance(rows, list) or not rows:
+        _fail(path, "expected a nonempty array of rows")
+    out = None
+    ragged = False
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or not row:
+            _fail(f"{path}/{i}", "expected a nonempty array of numbers")
+        if out is None:
+            out = np.zeros((len(rows), len(row)), dtype=complex)
+        if len(row) != out.shape[1]:
+            ragged = True
+        elif _fast_row(row, out[i]):
+            continue
+        values = [_matrix_entry(x, f"{path}/{i}/{j}") for j, x in enumerate(row)]
+        if not ragged:
+            out[i] = values
+    if ragged:
+        _fail(path, "rows must all have the same length")
+    return out
 
 
 def _parse_operator(node, path: str) -> tuple[OperatorSpec, Optional[tuple]]:
@@ -261,25 +359,7 @@ def _parse_operator(node, path: str) -> tuple[OperatorSpec, Optional[tuple]]:
         return spec, None
     if kind == "matrix":
         obj = _obj(node, path, ("kind", "rows"))
-        rows = obj["rows"]
-        if not isinstance(rows, list) or not rows:
-            _fail(f"{path}/rows", "expected a nonempty array of rows")
-        parsed = []
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or not row:
-                _fail(f"{path}/rows/{i}", "expected a nonempty array of numbers")
-            # Plain numbers convert inline; only other nodes need their pointer.
-            parsed.append(
-                tuple(
-                    complex(x)
-                    if type(x) in (int, float)
-                    else _matrix_entry(x, f"{path}/rows/{i}/{j}")
-                    for j, x in enumerate(row)
-                )
-            )
-        if len({len(r) for r in parsed}) != 1:
-            _fail(f"{path}/rows", "rows must all have the same length")
-        return FiniteMatrix(rows=tuple(parsed)), None
+        return FiniteMatrix(_matrix_rows(obj["rows"], f"{path}/rows")), None
     if kind == "scaled_identity":
         obj = _obj(node, path, ("kind", "value", "dim"))
         value = _frac(obj["value"], f"{path}/value")
@@ -336,7 +416,7 @@ def parse_spec(text: str) -> SpecDocument:
         _fail("/options/mode", f"expected one of {tuple(_MODES)}, got {mode_key!r}")
     params = EngineParams(
         delta=_frac(opts.get("delta", "1/2"), "/options/delta"),
-        svd_tol=_frac(opts.get("svd_tol", Fraction(1, 10**9)), "/options/svd_tol", allow_float=True),
+        svd_tol=_svd_tol(opts.get("svd_tol", Fraction(1, 10**9)), "/options/svd_tol"),
         q_max=_int(opts.get("q_max", 64), "/options/q_max", 1),
         n_max=_int(opts.get("N_max", 64), "/options/N_max", 1),
         prefix_check=_int(opts.get("prefix_check", 256), "/options/prefix_check", 1),
@@ -536,7 +616,7 @@ def _apply_overrides(doc: SpecDocument, args: argparse.Namespace) -> SpecDocumen
     if args.delta is not None:
         updates["delta"] = _frac(args.delta, "--delta")
     if args.svd_tol is not None:
-        updates["svd_tol"] = _frac(args.svd_tol, "--svd-tol", allow_float=True)
+        updates["svd_tol"] = _svd_tol(args.svd_tol, "--svd-tol")
     if args.q_max is not None:
         updates["q_max"] = args.q_max
     if args.n_max is not None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .cardinal import Aleph, Cardinal, Finite, ZERO, card_lt, is_finite
+from .cardinal import Aleph, Cardinal, Finite, card_lt, is_finite
 from .conditions import condition_s_outcome, condition_s_tilde_outcome
 from .errors import HypothesisViolationError, SpecError, UnsupportedTailError
 from .matcher import BucketFunction, MatchMode, build_matching

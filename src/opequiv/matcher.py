@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from . import _matchcore_py as _core
-from .cardinal import Cardinal, Finite, ZERO
+from .cardinal import Cardinal, Finite
 from .errors import DeltaMismatchError, HypothesisViolationError, SpecError
 from .tails import check_delta, pow_delta
 

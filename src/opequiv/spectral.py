@@ -10,7 +10,8 @@ bucketing, direct sums, and window counts stay exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Optional, Union
@@ -48,7 +49,6 @@ from .tails import (
     pow_delta,
     sparse_rule_count,
     term_cmp,
-    term_value,
 )
 
 # ---------------------------------------------------------------------------
@@ -327,33 +327,62 @@ def identity_measure(delta: Fraction, dim: Cardinal) -> BucketMeasure:
 # Operator specifications
 
 
-@dataclass(frozen=True)
 class FiniteMatrix:
-    """A dense matrix, row-major; entries may be real or complex."""
+    """A dense matrix, held as one read-only complex128 array.
 
-    rows: tuple[tuple[complex, ...], ...]
+    ``rows`` is a nested sequence of numbers, row-major, or a 2-D array; the
+    matrix keeps its own copy. ``rows`` reads back as a tuple of tuples of
+    complex numbers.
+    """
 
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        if not rows or not rows[0]:
+    def __init__(self, rows):
+        if not isinstance(rows, np.ndarray):
+            rows = tuple(tuple(r) for r in rows)
+            if not rows or not rows[0]:
+                raise SpecError("matrix dimensions must be >= 1")
+            if any(len(r) != len(rows[0]) for r in rows):
+                raise SpecError("matrix rows have unequal lengths")
+        array = np.array(rows, dtype=complex)
+        if array.ndim != 2 or not array.size:
             raise SpecError("matrix dimensions must be >= 1")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise SpecError("matrix rows have unequal lengths")
-        object.__setattr__(self, "rows", rows)
+        array.flags.writeable = False
+        object.__setattr__(self, "array", array)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @cached_property
+    def rows(self) -> tuple[tuple[complex, ...], ...]:
+        return tuple(map(tuple, self.array.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteMatrix):
+            return NotImplemented
+        return bool(np.array_equal(self.array, other.array))
+
+    def __hash__(self):
+        return hash(self.rows)
+
+    def __repr__(self):
+        return f"FiniteMatrix(rows={self.rows!r})"
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return self.array.shape[0]
 
     @property
     def n_cols(self) -> int:
-        return len(self.rows[0])
+        return self.array.shape[1]
 
     @cached_property
-    def singular_values(self) -> tuple[float, ...]:
-        """Nonincreasing singular values, computed once per matrix."""
-        return tuple(float(s) for s in np.linalg.svd(np.array(self.rows), compute_uv=False))
+    def singular_values(self) -> np.ndarray:
+        """Nonincreasing singular values, computed once per matrix (read-only)."""
+        sigma = np.linalg.svd(self.array, compute_uv=False)
+        sigma.flags.writeable = False
+        return sigma
 
 
 @dataclass(frozen=True)
@@ -423,31 +452,71 @@ def direct_sum(a: OperatorSpec, b: OperatorSpec) -> OperatorSpec:
 
 def _kept_singular_values(
     spec: FiniteMatrix, svd_tol: Fraction
-) -> tuple[list[float], float]:
+) -> tuple[np.ndarray, float]:
     """The singular values above svd_tol * sigma_max (the rank rule), and that bar."""
     sigma = spec.singular_values
-    thresh = float(svd_tol) * (sigma[0] if sigma else 0.0)
-    return [s for s in sigma if s > thresh], thresh
+    thresh = float(svd_tol) * float(sigma[0])
+    return sigma[sigma > thresh], thresh
+
+
+def _exact_bucket(s: float, delta: Fraction, tol: Fraction) -> int:
+    """bucket_index of s, refusing a value within tol of an edge of its bucket.
+
+    A value exactly on an edge is not ambiguous: the half-open buckets place
+    it.
+    """
+    value = Fraction(s)
+    j = bucket_index(value, delta)
+    for edge_exp in (j, j + 1):
+        edge = pow_delta(delta, edge_exp)
+        if abs(value - edge) <= tol and value != edge:
+            raise BoundaryAmbiguityError(s, float(edge))
+    return j
+
+
+_HALF = Fraction(1, 2)
+_SMALLEST_NORMAL = np.finfo(float).tiny
+
+
+def _bucket_counts(kept: np.ndarray, delta: Fraction, thresh: float) -> dict[int, Cardinal]:
+    """Bucket counts of the kept singular values, in order of first occurrence.
+
+    For delta = 1/2 one float pass settles each value that lies farther than
+    thresh from both edges of its bucket. The others (none, on most matrices),
+    and every value for any other delta, take _exact_bucket in order, so the
+    first ambiguous value raises, as a value-by-value loop would.
+    """
+    if delta != _HALF:
+        tol = Fraction(thresh)
+        counts = Counter(_exact_bucket(s, delta, tol) for s in kept.tolist())
+        return {j: Finite(n) for j, n in counts.items()}
+    with np.errstate(all="ignore"):
+        # v = m * 2^e with 1/2 <= m < 1, so v lies in [2^(e-1), 2^e), bucket
+        # -e. Both distances to the edges are exact float subtractions.
+        _, e = np.frexp(kept)
+        low = kept - np.ldexp(1.0, e - 1)
+        high = np.ldexp(1.0, e - 1) - low  # 2^e - v, with no overflow at e = 1024
+        # A value on its lower edge is not ambiguous.
+        unsure = ((low <= thresh) & (low != 0)) | (high <= thresh)
+        # Zero, negative (bucket_index refuses them), non-finite and subnormal
+        # values take the exact test as well.
+        unsure |= ~np.isfinite(kept) | (kept < _SMALLEST_NORMAL)
+        out = np.where(unsure, 0, -e).astype(int).tolist()
+    flagged = np.flatnonzero(unsure)
+    if len(flagged):
+        tol = Fraction(thresh)
+        for i in flagged.tolist():
+            out[i] = _exact_bucket(float(kept[i]), delta, tol)
+    return {j: Finite(n) for j, n in Counter(out).items()}
 
 
 def _matrix_measure(
     spec: FiniteMatrix, delta: Fraction, svd_tol: Fraction
 ) -> BucketMeasure:
     kept, thresh = _kept_singular_values(spec, svd_tol)
-    tol = Fraction(thresh)
-    buckets: dict[int, Cardinal] = {}
-    for s in kept:
-        value = Fraction(s)
-        j = bucket_index(value, delta)
-        # A value indistinguishable from a bucket edge cannot be bucketed.
-        for edge_exp in (j, j + 1):
-            edge = pow_delta(delta, edge_exp)
-            if abs(value - edge) <= tol and value != edge:
-                raise BoundaryAmbiguityError(s, float(edge))
-        buckets[j] = card_add(buckets.get(j, ZERO), Finite(1))
     return BucketMeasure(
         delta=delta,
-        buckets=buckets,
+        buckets=_bucket_counts(kept, delta, thresh),
         kernel_dim=Finite(spec.n_cols - len(kept)),
         cokernel_dim=Finite(spec.n_rows - len(kept)),
     )
@@ -628,7 +697,7 @@ def flatten_values(
             return
         if isinstance(node, FiniteMatrix):
             kept, _thresh = _kept_singular_values(node, svd_tol)
-            values.extend(Fraction(s) for s in kept)
+            values.extend(map(Fraction, kept.tolist()))
             kernel = card_add(kernel, Finite(node.n_cols - len(kept)))
             cokernel = card_add(cokernel, Finite(node.n_rows - len(kept)))
             return

@@ -3,7 +3,9 @@
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -563,3 +565,155 @@ def test_main_bad_flag_value_is_a_schema_error(tmp_path, capsys):
     path = write_input(tmp_path, doc(UNIT, UNIT))
     assert main(["decide", "--input", path, "--delta", "fast"]) == 2
     assert json.loads(capsys.readouterr().out)["error"] == "SchemaError"
+
+
+# ---------------------------------------------------------------------------
+# Matrix input
+
+
+BIG = "1" + "0" * 400  # an integer beyond the float range
+
+
+@pytest.mark.parametrize(
+    "document, pointer",
+    [
+        ('{"T": %s, "S": %s, "options": {"svd_tol": 1e400}}' % (json.dumps(UNIT), json.dumps(UNIT)), "/options/svd_tol"),
+        ('{"T": %s, "S": %s, "options": {"svd_tol": NaN}}' % (json.dumps(UNIT), json.dumps(UNIT)), "/options/svd_tol"),
+        ('{"T": {"kind": "matrix", "rows": [[1]]}, "S": {"kind": "matrix", "rows": [[1]]}, "options": {"svd_tol": "1e400"}}', "/options/svd_tol"),
+        ('{"T": {"kind": "matrix", "rows": [[1, %s]]}, "S": {"kind": "matrix", "rows": [[1]]}}' % BIG, "/T/rows/0/1"),
+        ('{"T": {"kind": "matrix", "rows": [[1, 0], [NaN, 1]]}, "S": {"kind": "matrix", "rows": [[1]]}}', "/T/rows/1/0"),
+        ('{"T": {"kind": "matrix", "rows": [[1]]}, "S": {"kind": "matrix", "rows": [[Infinity]]}}', "/S/rows/0/0"),
+        ('{"T": {"kind": "matrix", "rows": [[1e400, 0], [0, 1]]}, "S": {"kind": "matrix", "rows": [[1]]}}', "/T/rows/0/0"),
+        ('{"T": {"kind": "matrix", "rows": [[[1, NaN]]]}, "S": {"kind": "matrix", "rows": [[1]]}}', "/T/rows/0/0"),
+        ('{"T": {"kind": "matrix", "rows": [["%s/3"]]}, "S": {"kind": "matrix", "rows": [[1]]}}' % BIG, "/T/rows/0/0"),
+        ('{"T": {"kind": "matrix", "rows": [[1, "1/2", -Infinity]]}, "S": {"kind": "matrix", "rows": [[1]]}}', "/T/rows/0/2"),
+    ],
+    ids=[
+        "svd_tol-overflow",
+        "svd_tol-nan",
+        "svd_tol-rational-beyond-float",
+        "int-beyond-float",
+        "nan-entry",
+        "infinity-entry",
+        "float-overflow-entry",
+        "nan-in-pair",
+        "rational-beyond-float",
+        "infinity-in-mixed-row",
+    ],
+)
+def test_main_rejects_non_finite_numbers_at_their_pointer(tmp_path, capsys, document, pointer):
+    path = write_input(tmp_path, document)
+    assert main(["decide", "--input", path]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "SchemaError"
+    assert report["message"].startswith(pointer + ": ")
+
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures" / "matrix"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json") if p.name != "expected.json"))
+def test_matrix_documents_replay_byte_for_byte(name, capsys):
+    # expected.json holds the stdout, stderr and exit code of
+    # `opequiv decide --input NAME.json` as recorded before matrices were
+    # parsed in bulk; the matrix path must keep reproducing them exactly.
+    expected = json.loads((FIXTURES / "expected.json").read_text(encoding="utf-8"))[name]
+    code = main(["decide", "--input", str(FIXTURES / f"{name}.json")])
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (expected["exit_code"], expected["stdout"], expected["stderr"])
+
+
+def _per_entry_rows(rows, path="/T/rows"):
+    """The per-entry matrix parser that the bulk path replaces, kept as its oracle."""
+    if not isinstance(rows, list) or not rows:
+        raise SchemaError(path, "expected a nonempty array of rows")
+    parsed = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or not row:
+            raise SchemaError(f"{path}/{i}", "expected a nonempty array of numbers")
+        values = []
+        for j, x in enumerate(row):
+            where = f"{path}/{i}/{j}"
+            if type(x) in (int, float):
+                values.append(complex(x))
+            elif isinstance(x, bool):
+                raise SchemaError(where, f"expected a number, got {x!r}")
+            elif isinstance(x, str):
+                try:
+                    values.append(complex(float(Fraction(x))))
+                except (ValueError, ZeroDivisionError) as e:
+                    raise SchemaError(where, f"bad rational {x!r}: {e}")
+            elif (
+                isinstance(x, list)
+                and len(x) == 2
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x)
+            ):
+                values.append(complex(*x))
+            else:
+                raise SchemaError(where, f"expected a number, 'p/q' string, or [re, im] pair, got {x!r}")
+        parsed.append(values)
+    if len({len(r) for r in parsed}) != 1:
+        raise SchemaError(path, "rows must all have the same length")
+    return np.array(parsed, dtype=complex)
+
+
+def _bits(parse, rows):
+    try:
+        array = parse(rows)
+    except SchemaError as e:
+        return ("error", e.path, str(e))
+    return ("array", array.shape, array.view(np.uint64).tolist())
+
+
+_ints = st.integers(-10, 10) | st.integers(-(2**80), 2**80) | st.integers(-(10**300), 10**300)
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+_strict = st.integers(-(10**20), 10**20).map(str) | st.builds(
+    "{}/{}".format, st.integers(-(10**20), 10**20), st.integers(1, 10**20)
+)
+_loose = st.sampled_from(
+    ["1.5", " 3/4", "1_000", "+2", "1/0", "1/05", "-0", "-0/3", "007", "1e-3", "abc", "", "3/ 4", "2/-3", "١٢"]
+)
+_pairs = st.lists(_ints | _floats, min_size=2, max_size=2)
+_bad = st.sampled_from([True, False, None, [1], [1, 2, 3], [True, 1], ["1", 2], {}, [[1, 2]]])
+_ENTRIES = {
+    "int": _ints,
+    "float": _floats,
+    "number": _ints | _floats,
+    "strict": _strict,
+    "string": _strict | _loose,
+    "pair": _pairs,
+    "uneven pairs": st.lists(_ints | _floats, min_size=1, max_size=3),
+    "mixed": _ints | _floats | _strict | _loose | _pairs | _bad,
+}
+
+
+@st.composite
+def matrix_rows(draw):
+    if draw(st.integers(0, 40)) == 0:
+        return draw(st.sampled_from([[], {}, "rows", [[]]]))
+    width = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        shape = draw(st.sampled_from(["row"] * 12 + ["ragged", "not a list"]))
+        if shape == "not a list":
+            rows.append(draw(st.sampled_from([None, 3, "1/2", {}, []])))
+            continue
+        n = draw(st.sampled_from([width - 1, width + 1])) if shape == "ragged" else width
+        style = draw(st.sampled_from(sorted(_ENTRIES)))
+        rows.append(draw(st.lists(_ENTRIES[style], min_size=n, max_size=n)))
+    return rows
+
+
+@given(matrix_rows())
+@settings(max_examples=300, deadline=None)
+def test_bulk_matrix_parser_matches_the_per_entry_oracle(rows):
+    # Plain numbers, strict and other rational strings, [re, im] pairs, bools,
+    # ragged and non-list rows, all finite: the same complex128 array bit for
+    # bit (-0.0 included), or the same SchemaError path and message.
+    def bulk(r):
+        return parse_spec(doc({"kind": "matrix", "rows": r}, UNIT)).t.array
+
+    got, want = _bits(bulk, rows), _bits(_per_entry_rows, json.loads(json.dumps(rows)))
+    assert got == want
+    if got[0] == "array":
+        assert np.array_equal(bulk(rows), _per_entry_rows(rows))

@@ -1,7 +1,10 @@
 """Tests for the spectral data model: atoms, measures, reduction, membership."""
 
+import math
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +44,8 @@ from opequiv import (
     range_membership,
     truncate_inventory,
 )
+from opequiv.spectral import _bucket_counts
+from opequiv.tails import pow_delta
 
 HALF = F(1, 2)
 
@@ -333,6 +338,102 @@ def test_modulus_data_boundary_ambiguity():
     # Exactly on the edge is fine: 1/2 belongs to bucket 0 by the half-open
     # convention, and exact equality is not ambiguous.
     assert modulus_data(FiniteMatrix(rows=((0.5,),)), HALF).buckets == {0: Finite(1)}
+
+
+def _per_value_buckets(values, delta, thresh):
+    """The per-value bucketing that the float pass replaces, kept as its oracle."""
+    tol = F(thresh)
+    buckets = {}
+    for s in values:
+        value = F(s)
+        j = bucket_index(value, delta)
+        for edge_exp in (j, j + 1):
+            edge = pow_delta(delta, edge_exp)
+            if abs(value - edge) <= tol and value != edge:
+                raise BoundaryAmbiguityError(s, float(edge))
+        buckets[j] = card_add(buckets.get(j, ZERO), Finite(1))
+    return buckets
+
+
+def _float_pass(values, delta, thresh):
+    return _bucket_counts(np.array(values, dtype=float), delta, thresh)
+
+
+def _bucketing(fn, values, delta, thresh):
+    try:
+        return ("buckets", list(fn(values, delta, thresh).items()))
+    except BoundaryAmbiguityError as e:
+        return ("ambiguous", e.value, e.boundary, str(e))
+
+
+@st.composite
+def singular_value_lists(draw):
+    delta = draw(st.sampled_from([HALF, F(2, 3), F(3, 4), F(1, 10)]))
+    thresh = draw(
+        st.sampled_from([0.0, 5e-324, 1e-300, 1e-12, 1e-9, 3.5e-7, 0.01, 2.0**-30, 3 * 2.0**-45, 0.25])
+        | st.floats(min_value=0.0, max_value=0.1, allow_subnormal=True)
+    )
+    j_range = {HALF: (-1020, 1070), F(2, 3): (-1700, 1800), F(3, 4): (-2400, 2500), F(1, 10): (-300, 320)}[delta]
+    edge_exps = st.integers(-40, 40) | st.integers(*j_range)
+
+    def near_edge():
+        edge = float(pow_delta(delta, draw(edge_exps)))
+        base = draw(st.sampled_from([edge, edge - thresh, edge + thresh]))
+        return draw(st.sampled_from([base, math.nextafter(base, 0), math.nextafter(base, math.inf)]))
+
+    values = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["edge", "edge", "edge", "random", "subnormal"]))
+        if kind == "edge":
+            v = near_edge()
+        elif kind == "random":
+            v = draw(st.floats(min_value=1e-300, max_value=1e300))
+        else:
+            v = draw(st.floats(min_value=5e-324, max_value=2.2250738585072014e-308, allow_subnormal=True))
+        if 0 < v < math.inf:
+            values.append(v)
+    return delta, thresh, draw(st.permutations(values))
+
+
+@given(singular_value_lists())
+@settings(max_examples=400, deadline=None)
+def test_float_bucketing_matches_the_per_value_oracle(case):
+    # Values on an edge, one ulp either side, at +-tol from it and one ulp
+    # beyond, plus subnormals: same buckets in the same order, and the same
+    # BoundaryAmbiguityError on the same value and edge.
+    delta, thresh, values = case
+    got = _bucketing(_float_pass, values, delta, thresh)
+    assert got == _bucketing(_per_value_buckets, values, delta, thresh)
+
+
+@pytest.mark.parametrize("delta", [HALF, F(2, 3), F(1, 10), F(999, 1000), F(1, 10**40)])
+def test_float_bucketing_takes_the_exact_test_near_edges(delta):
+    # An edge value, its float neighbours and a value within tol of the edge:
+    # each must match the oracle, whichever path settles it.
+    for j in (-3, 0, 1, 7):
+        edge = float(pow_delta(delta, j))
+        for thresh in (0.0, 2.0**-30 * edge, 1e-9 * edge):
+            near = (edge, math.nextafter(edge, 0), math.nextafter(edge, math.inf), edge * (1 + 1e-12))
+            for v in near + (edge + thresh, edge - thresh):
+                got = _bucketing(_float_pass, [v], delta, thresh)
+                assert got == _bucketing(_per_value_buckets, [v], delta, thresh)
+
+
+def test_finite_matrix_holds_one_read_only_complex_array():
+    source = np.array([[1, 2], [3, 4]])
+    m = FiniteMatrix(source)
+    source[0, 0] = 9  # the matrix keeps its own copy
+    assert m.array.dtype == np.complex128 and not m.array.flags.writeable
+    assert m.rows == ((1 + 0j, 2 + 0j), (3 + 0j, 4 + 0j))
+    assert m == FiniteMatrix(((1, 2), (3, 4))) and hash(m) == hash(FiniteMatrix(((1, 2), (3, 4))))
+    assert m != FiniteMatrix(((1, 2),)) and m != FiniteMatrix(((1, 2), (3, 5)))
+    with pytest.raises(SpecError):
+        FiniteMatrix(np.zeros((0, 3)))
+    with pytest.raises(SpecError):
+        FiniteMatrix(np.zeros(3))
+    for name in ("array", "rows", "singular_values"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(m, name, np.eye(2))
 
 
 def test_modulus_data_scaled_identity():
