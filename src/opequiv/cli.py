@@ -119,16 +119,20 @@ def _frac(node, path: str) -> Fraction:
 
 
 def _svd_tol(node, path: str) -> Fraction:
-    """The rank tolerance: a rational or a finite float, within the float range."""
+    """The rank tolerance: a nonnegative rational or finite float, within the
+    float range."""
     if isinstance(node, float):
         if not math.isfinite(node):
             _fail(path, f"expected a finite number, got {node!r}")
-        return Fraction(node)
-    tol = _frac(node, path)
-    try:
-        float(tol)  # the rank rule compares singular values with float(tol) * sigma_max
-    except OverflowError:
-        _fail(path, f"svd_tol {node!r} lies beyond the float range")
+        tol = Fraction(node)
+    else:
+        tol = _frac(node, path)
+        try:
+            float(tol)  # the rank rule compares singular values with float(tol) * sigma_max
+        except OverflowError:
+            _fail(path, f"svd_tol {node!r} lies beyond the float range")
+    if tol < 0:
+        _fail(path, f"svd_tol must be >= 0, got {node!r}")
     return tol
 
 
@@ -225,8 +229,6 @@ def _measure(obj: dict, path: str) -> BucketMeasure:
             kernel_dim=_card(obj.get("kernel", 0), f"{path}/kernel"),
             cokernel_dim=_card(obj.get("cokernel", 0), f"{path}/cokernel"),
         )
-    except KeyError as e:
-        _fail(path, f"missing required key {e.args[0]!r}")
     except SchemaError:
         raise
     except ValueError as e:

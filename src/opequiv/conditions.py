@@ -20,11 +20,11 @@ UnsupportedTailError rather than guessing either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import add, mul, sub
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from ._matchcore_py import first_window
 from .cardinal import Aleph, Finite, ZERO, card_add
@@ -46,6 +46,7 @@ from .tails import (
     _floor_log,
     bucket_index,
     factorial,
+    least_true,
     pow_delta,
     ratio_root_lower,
     sparse_rule_count_range,
@@ -92,7 +93,6 @@ class _Side:
     """
 
     def __init__(self, m: BucketMeasure):
-        self.measure = m
         self.delta = m.delta
         self.finite_explicit = {
             j: c.n for j, c in m.buckets.items() if not isinstance(c, Aleph)
@@ -574,47 +574,36 @@ def _prepare(a: BucketMeasure, b: BucketMeasure) -> tuple[_Side, _Side]:
     return _Side(a), _Side(b)
 
 
-def _least_certified(
-    check: Callable[[int], ConditionOutcome], q_max: int, at_max: ConditionOutcome
-) -> ConditionOutcome:
-    """Outcome at the least q whose ``check(q)`` is present, given that
-    ``at_max`` (the check at q_max) is. Gallops q = 1, 2, 4, ... and then
-    bisects the last gap."""
-    lo, hi, best = 0, q_max, at_max  # absent at lo (or lo = 0), present at hi
-    q = 1
-    while q < q_max:
-        out = check(q)
-        if out.present:
-            hi, best = q, out
-            break
-        lo, q = q, 2 * q
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        out = check(mid)
-        if out.present:
-            hi, best = mid, out
-        else:
-            lo = mid
-    return best
-
-
-# Both searches take certification to be monotone in q (widening only adds
+# The search takes certification to be monotone in q (widening only adds
 # content to b's windows): when q_max is not certified, no smaller q is, and
-# the refusal carries q_max's note.
+# the refusal carries q_max's note. Presence is monotone in N as well (larger
+# N sees fewer windows). Both searches gallop from 1 (tails.least_true).
+
+
+def _search(
+    a: BucketMeasure, b: BucketMeasure, q_max: int, n_max: Optional[int]
+) -> ConditionOutcome:
+    """The least certified q, then (in the cutoff form, n_max set) the least
+    N at that q."""
+    sa, sb = _prepare(a, b)
+    # A violation at the loosest widening certifies failure for every q.
+    worst = _check_both(sa, sb, q_max, n_max)
+    if worst.violation is not None:
+        return replace(worst, n_cutoff=n_max)
+    if worst.unsupported is not None:
+        raise UnsupportedTailError(worst.unsupported)
+    q = least_true(lambda q: _check_both(sa, sb, q, n_max).present, 0, q_max)
+    n = None
+    if n_max is not None:
+        n = least_true(lambda n: _check_both(sa, sb, q, n).present, 0, n_max)
+    return ConditionOutcome(delta_prime=pow_delta(sa.delta, q), n_cutoff=n, q_used=q)
 
 
 def condition_s_outcome(
     a: BucketMeasure, b: BucketMeasure, q_max: int = 64
 ) -> ConditionOutcome:
     """Full outcome of the strong window condition (all k), searching q."""
-    sa, sb = _prepare(a, b)
-    # A violation at the loosest widening certifies failure for every q.
-    worst = _check_both(sa, sb, q_max, None)
-    if worst.violation is not None:
-        return worst
-    if worst.unsupported is not None:
-        raise UnsupportedTailError(worst.unsupported)
-    return _least_certified(lambda q: _check_both(sa, sb, q, None), q_max, worst)
+    return _search(a, b, q_max, None)
 
 
 def check_condition_S(
@@ -631,29 +620,7 @@ def condition_s_tilde_outcome(
     n_max: int = 64,
 ) -> ConditionOutcome:
     """Outcome of the cutoff window condition (k >= N), searching (q, N)."""
-    sa, sb = _prepare(a, b)
-    worst = _check_both(sa, sb, q_max, n_max)
-    if worst.violation is not None:
-        return ConditionOutcome(
-            q_used=worst.q_used, n_cutoff=n_max, violation=worst.violation
-        )
-    if worst.unsupported is not None:
-        raise UnsupportedTailError(worst.unsupported)
-    q = _least_certified(lambda q: _check_both(sa, sb, q, n_max), q_max, worst).q_used
-    return _least_cutoff(sa, sb, q, n_max)
-
-
-def _least_cutoff(sa: _Side, sb: _Side, q: int, n_max: int) -> ConditionOutcome:
-    """Presence is monotone in N (larger N sees fewer windows): binary search
-    the least N that still works at q, given that n_max does."""
-    lo, hi, best = 1, n_max, n_max
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if _check_both(sa, sb, q, mid).present:
-            best, hi = mid, mid - 1
-        else:
-            lo = mid + 1
-    return ConditionOutcome(delta_prime=pow_delta(sa.delta, q), n_cutoff=best, q_used=q)
+    return _search(a, b, q_max, n_max)
 
 
 def check_condition_S_tilde(

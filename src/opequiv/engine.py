@@ -117,6 +117,8 @@ class EngineParams:
     def __post_init__(self):
         object.__setattr__(self, "delta", check_delta(Fraction(self.delta)))
         object.__setattr__(self, "svd_tol", Fraction(self.svd_tol))
+        if self.svd_tol < 0:
+            raise SpecError(f"svd_tol must be >= 0, got {self.svd_tol}")
         if self.q_max < 1 or self.n_max < 1 or self.prefix_check < 1:
             raise SpecError("search caps must be positive")
 
@@ -243,15 +245,13 @@ def _tail_piece(t: _Seq, s: _Seq, m: int, n_pure: int) -> Optional[Fraction]:
     return min(pieces)
 
 
-def _shift_envelope(t: _Seq, s: _Seq, m: int, allow_head: bool) -> Optional[Fraction]:
+def _shift_envelope(t: _Seq, s: _Seq, m: int) -> Optional[Fraction]:
     """Ratio envelope delta' for the pairing t_n <-> s_{n+m}, or None.
 
     The pairing must cover both sequences completely except for the shifted
-    head (s_1..s_m for m > 0, t_1..t_{-m} for m < 0), which is only allowed
-    when ``allow_head`` is set — those entries become extension dimensions.
+    head (s_1..s_m for m > 0, t_1..t_{-m} for m < 0); those entries become
+    extension dimensions.
     """
-    if m != 0 and not allow_head:
-        return None
     lt, ls = t.finite_len(), s.finite_len()
     if (lt is None) != (ls is None):
         return None  # one sequence ends, the other continues: no coverage
@@ -310,7 +310,7 @@ def _shift_candidates(t: _Seq, s: _Seq) -> list[int]:
 def _first_shift(t: _Seq, s: _Seq) -> Optional[tuple[int, Fraction]]:
     """(m, d') for the first candidate shift with a bounded pairing, or None."""
     for m in _shift_candidates(t, s):
-        env = _shift_envelope(t, s, m, allow_head=True)
+        env = _shift_envelope(t, s, m)
         if env is not None:
             return (m, env)
     return None
@@ -339,7 +339,7 @@ def _m0_envelope(
     alignment offset, for compact pairs."""
     nt = _normalize(flatten_values(a, p.svd_tol), p.prefix_check)
     ns = _normalize(flatten_values(b, p.svd_tol), p.prefix_check)
-    env = _shift_envelope(nt, ns, 0, allow_head=False)
+    env = _shift_envelope(nt, ns, 0)
     if env is None:
         return None
     shift = _alignment_shift(nt, ns)
@@ -621,7 +621,7 @@ def build_witness(
             raise SpecError("requested-extension pairing needs compact data")
         nt = _normalize(inv_t, p.prefix_check)
         ns = _normalize(inv_s, p.prefix_check)
-        env = _shift_envelope(nt, ns, extension, allow_head=True)
+        env = _shift_envelope(nt, ns, extension)
         if env is None:
             raise SpecError(
                 f"no bounded pairing exists at the requested extension {extension}"

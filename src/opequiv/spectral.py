@@ -46,6 +46,7 @@ from .tails import (
     bucket_index,
     check_delta,
     count_ge,
+    least_true,
     pow_delta,
     sparse_rule_count,
     term_cmp,
@@ -131,12 +132,8 @@ class SparseRay:
         return Aleph(0)
 
     def first_bucket(self, delta: Fraction) -> int:
-        j = max(0, self.start)
-        while sparse_rule_count(delta, max(self.start, 0), j) == 0:
-            j += 8
-        while sparse_rule_count(delta, max(self.start, 0), j - 1) > 0:
-            j -= 1
-        return j
+        s = max(0, self.start)
+        return least_true(lambda j: sparse_rule_count(delta, s, j) > 0, s - 1)
 
 
 @dataclass(frozen=True)
@@ -345,6 +342,8 @@ class FiniteMatrix:
         array = np.array(rows, dtype=complex)
         if array.ndim != 2 or not array.size:
             raise SpecError("matrix dimensions must be >= 1")
+        if not np.isfinite(array).all():
+            raise SpecError("matrix entries must be finite")
         array.flags.writeable = False
         object.__setattr__(self, "array", array)
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .errors import DeltaRangeError
 
@@ -64,6 +64,29 @@ def _log2(x) -> float:
     return math.log2(x.numerator) - math.log2(x.denominator)
 
 
+def least_true(pred: Callable[[int], bool], lo: int, hi: Optional[int] = None) -> int:
+    """The least x > lo with pred(x), for a pred that is False up to some
+    integer and True from there on.
+
+    pred(lo) is taken to be False and pred(hi), when hi is given, True;
+    neither is evaluated. Probes lo + 1, lo + 2, lo + 4, ... and then bisects
+    the last gap, so an answer d above lo costs O(log d) evaluations.
+    """
+    base, step = lo, 1
+    while hi is None or base + step < hi:
+        if pred(base + step):
+            hi = base + step
+            break
+        lo, step = base + step, 2 * step
+    while hi - lo > 1:  # pred(lo) is False and pred(hi) True
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def _floor_log(x: Union[int, Fraction], base: Union[int, Fraction]) -> int:
     """floor(log_base(x)) for rational x > 0 and base > 1, exactly.
 
@@ -81,26 +104,10 @@ def _floor_log(x: Union[int, Fraction], base: Union[int, Fraction]) -> int:
             return bn**d * v <= u * bd**d
         return bd**-d * v <= u * bn**-d
 
-    lo = math.floor(_log2(x) / _log2(base))
-    step = 1
-    if at_most(lo):
-        while at_most(lo + step):
-            lo += step
-            step *= 2
-        hi = lo + step
-    else:
-        hi = lo
-        while not at_most(hi - step):
-            hi -= step
-            step *= 2
-        lo = hi - step
-    while hi - lo > 1:  # at_most(lo) and not at_most(hi)
-        mid = (lo + hi) // 2
-        if at_most(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    guess = math.floor(_log2(x) / _log2(base))
+    if at_most(guess):
+        return least_true(lambda d: not at_most(d), guess) - 1
+    return -least_true(lambda d: at_most(-d), -guess)
 
 
 def bucket_index(value: Fraction, delta: Fraction) -> int:
@@ -337,14 +344,13 @@ class SeqSpan:
 
     def first_bucket(self, delta: Fraction) -> int:
         """Bucket index of the first (largest) tail term."""
-        lo = -1
-        while self.cum_range(delta, lo, lo)[0] > 0:
-            lo -= 16
-        while True:
-            cum = self.cum_range(delta, lo, lo + 15)
-            if cum[-1] > 0:
-                return lo + next(i for i, c in enumerate(cum) if c > 0)
-            lo += 16
+        model = self.model
+        if isinstance(model, PowerSeq):
+            # (c * n^(-a/b))^b = c^b / n^a is rational, and it lies in bucket
+            # j of delta^b exactly when the term lies in bucket j of delta.
+            a, b = model.p.numerator, model.p.denominator
+            return bucket_index(model.c**b / self.start**a, delta**b)
+        return bucket_index(term_value(model, self.start), delta)
 
     def first_term_value(self) -> Optional[Fraction]:
         return term_value(self.model, self.start)

@@ -609,6 +609,31 @@ def test_main_rejects_non_finite_numbers_at_their_pointer(tmp_path, capsys, docu
     assert report["message"].startswith(pointer + ": ")
 
 
+RANK_ONE = {"kind": "matrix", "rows": [[1, 0], [0, 0]]}
+
+
+@pytest.mark.parametrize("svd_tol", ["-1", -1, -0.5, "-1/1000"])
+def test_main_rejects_a_negative_svd_tol_at_its_pointer(tmp_path, capsys, svd_tol):
+    # A negative tolerance keeps the zero singular value of a rank-one
+    # matrix, which has no bucket.
+    path = write_input(tmp_path, doc(RANK_ONE, RANK_ONE, svd_tol=svd_tol))
+    assert main(["decide", "--input", path]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "SchemaError"
+    assert report["message"].startswith("/options/svd_tol: ")
+
+
+def test_main_rejects_a_negative_svd_tol_flag(tmp_path, capsys):
+    path = write_input(tmp_path, doc(RANK_ONE, RANK_ONE))
+    assert main(["decide", "--input", path, "--svd-tol=-1"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "SchemaError"
+    assert report["message"].startswith("--svd-tol: ")
+    # Zero stays allowed: the zero singular value is still dropped.
+    assert main(["decide", "--input", path, "--svd-tol", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["holds"] is True
+
+
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "matrix"
 
 

@@ -557,6 +557,45 @@ def test_uncertified_q_max_refuses_with_its_own_note(monkeypatch):
         assert isinstance(note, str) and note == search_result(oracle, *args)
 
 
+def test_both_searches_gallop_from_one_then_bisect(monkeypatch):
+    calls = []
+    check = conditions._check_both
+    monkeypatch.setattr(
+        conditions, "_check_both", lambda sa, sb, q, k: calls.append((q, k)) or check(sa, sb, q, k)
+    )
+    # Infinite points five buckets apart certify from q = 5 on.
+    out = condition_s_outcome(meas({0: ALEPH0}), meas({5: ALEPH0}), q_max=16)
+    assert out.q_used == 5
+    assert [q for q, _ in calls] == [16, 1, 2, 4, 8, 6, 5]
+    # One value at bucket 3 against nothing: q = 1 holds from N = 4 on.
+    calls.clear()
+    out = condition_s_tilde_outcome(meas({3: Finite(1)}), meas({}), q_max=16, n_max=16)
+    assert (out.q_used, out.n_cutoff) == (1, 4)
+    assert calls == [(16, 16), (1, 16), (1, 1), (1, 2), (1, 4), (1, 3)]
+
+
+cutoff_measures = st.builds(
+    lambda buckets, rays: meas(buckets, tuple(rays)),
+    st.dictionaries(
+        st.integers(-3, 20), st.one_of(st.integers(1, 6).map(Finite), st.just(ALEPH0)), max_size=5
+    ),
+    st.lists(
+        st.builds(ConstantRay, st.integers(-3, 20), st.sampled_from([Finite(1), Finite(2), ALEPH0])),
+        max_size=2,
+    ),
+)
+
+
+@given(cutoff_measures, cutoff_measures, st.integers(1, 16), st.integers(1, 16))
+@settings(max_examples=200, deadline=None)
+def test_galloping_cutoff_search_matches_bisection_on_random_pairs(a, b, q_max, n_max):
+    # The search gallops N from 1 where the oracle bisects [1, n_max]; both
+    # rest on presence being monotone in N, so a disagreement would show a
+    # pair where it is not.
+    args = (a, b, q_max, n_max)
+    assert search_result(condition_s_tilde_outcome, *args) == search_result(linear_s_tilde, *args)
+
+
 # ---------------------------------------------------------------------------
 # Segment scan against direct window counts
 
@@ -640,22 +679,21 @@ def test_segment_scan_on_constant_densities(q, expected):
     # Two per bucket against one per bucket: the window [10, 9 + l] holds 2l
     # against b's l + 2q when b's widened window stays inside b's ray, and
     # l + 10 + q once it reaches below bucket 0.
-    a = conditions._Side(meas({}, atoms=(ConstantRay(0, Finite(2)),)))
-    b = conditions._Side(meas({}, atoms=(ConstantRay(0, Finite(1)),)))
-    hit, _ = conditions._scan_segment(a, b, q, 10, 209, None)
+    ma = meas({}, atoms=(ConstantRay(0, Finite(2)),))
+    mb = meas({}, atoms=(ConstantRay(0, Finite(1)),))
+    hit, _ = conditions._scan_segment(conditions._Side(ma), conditions._Side(mb), q, 10, 209, None)
     assert hit == expected
-    assert lex_first_violation(a.measure, b.measure, q, 10, 209) == expected
+    assert lex_first_violation(ma, mb, q, 10, 209) == expected
 
 
 @pytest.mark.parametrize("b_bucket, expected", [(8, (10, 1)), (9, None), (11, None), (12, (5, 6))])
 def test_segment_scan_reaches_both_edges_of_the_widening(b_bucket, expected):
     # Bucket 10 of a holds 3; b's widened window [9, 11] must hold them. With
     # b at 12, the window [5, 10] already fails against b's [4, 11].
-    a = conditions._Side(meas({10: Finite(3)}))
-    b = conditions._Side(meas({b_bucket: Finite(3)}))
-    hit, _ = conditions._scan_segment(a, b, 1, 5, 14, None)
+    ma, mb = meas({10: Finite(3)}), meas({b_bucket: Finite(3)})
+    hit, _ = conditions._scan_segment(conditions._Side(ma), conditions._Side(mb), 1, 5, 14, None)
     assert hit == expected
-    assert lex_first_violation(a.measure, b.measure, 1, 5, 14) == expected
+    assert lex_first_violation(ma, mb, 1, 5, 14) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,15 @@ def test_engine_params_validation():
     assert EngineParams().delta == HALF
 
 
+@pytest.mark.parametrize("svd_tol", [-1, F(-1, 10**9), -0.5])
+def test_engine_params_reject_a_negative_svd_tol(svd_tol):
+    # A negative tolerance would keep a matrix's zero singular values, which
+    # have no bucket.
+    with pytest.raises(SpecError, match="svd_tol"):
+        EngineParams(svd_tol=svd_tol)
+    assert EngineParams(svd_tol=0).svd_tol == 0
+
+
 # ---------------------------------------------------------------------------
 # Shift comparability of diagonal data
 

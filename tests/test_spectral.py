@@ -45,7 +45,7 @@ from opequiv import (
     truncate_inventory,
 )
 from opequiv.spectral import _bucket_counts
-from opequiv.tails import pow_delta
+from opequiv.tails import pow_delta, sparse_rule_count
 
 HALF = F(1, 2)
 
@@ -103,6 +103,25 @@ def test_sparse_ray_window_matches_pointwise():
         assert ray.window_count(k, 19, HALF) == Finite(total)
     assert ray.total() == ALEPH0
     assert ray.first_bucket(HALF) == 0  # log2(1!) = 0
+
+
+def sparse_first_bucket_by_steps(ray: SparseRay, delta: F) -> int:
+    """The first rule index >= max(0, start), by the stepping search the
+    galloping one replaced: up 8 buckets at a time, then back one by one."""
+    s = max(0, ray.start)
+    j = s
+    while sparse_rule_count(delta, s, j) == 0:
+        j += 8
+    while sparse_rule_count(delta, s, j - 1) > 0:
+        j -= 1
+    return j
+
+
+@pytest.mark.parametrize("delta", [F(1, 2), F(2, 3), F(1, 10)])
+def test_sparse_first_bucket_matches_the_stepping_search(delta):
+    for start in range(-3, 41):
+        ray = SparseRay(start)
+        assert ray.first_bucket(delta) == sparse_first_bucket_by_steps(ray, delta)
 
 
 def test_seq_ray_power_law_counts():
@@ -273,6 +292,19 @@ def test_matrix_validation():
         FiniteMatrix(rows=((1, 2), (3,)))
     m = FiniteMatrix(rows=((1, 2, 3), (4, 5, 6)))
     assert m.n_rows == 2 and m.n_cols == 3
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [math.nan, math.inf, -math.inf, complex(math.nan, 0), complex(1, math.inf), complex(0, -math.inf)],
+)
+def test_matrix_rejects_non_finite_entries(entry):
+    # Without the check, a decision on such a matrix ends in numpy's
+    # LinAlgError from the SVD.
+    with pytest.raises(SpecError, match="finite"):
+        FiniteMatrix(rows=((entry, 0), (0, 1)))
+    with pytest.raises(SpecError, match="finite"):
+        FiniteMatrix(np.array([[1, 0], [0, entry]]))
 
 
 def test_compact_diagonal_validation():

@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from opequiv import tails
 from opequiv.errors import DeltaRangeError
@@ -243,6 +243,26 @@ def test_iroot_start_at_exact_powers():
 def test_iroot_rejects_a_start_below_one():
     with pytest.raises(ValueError):
         iroot(100, 3, 0)
+
+
+@given(st.integers(-100, 100), st.integers(1, 10**4), st.one_of(st.none(), st.integers(0, 10**4)))
+@example(5, 1, 0)
+def test_least_true_matches_a_linear_scan(lo, gap, beyond):
+    # pred is False below lo + gap and True from there; hi, when given, is
+    # at or above that threshold (beyond = 0 with gap = 1 puts lo = hi - 1,
+    # where nothing is evaluated).
+    threshold = lo + gap
+    hi = None if beyond is None else threshold + beyond
+    calls = []
+
+    def pred(x):
+        assert x > lo and (hi is None or x < hi), "pred evaluated at lo or hi"
+        calls.append(x)
+        return x >= threshold
+
+    linear = next(x for x in range(lo + 1, threshold + 1) if x >= threshold)
+    assert tails.least_true(pred, lo, hi) == linear
+    assert len(calls) <= 2 * math.ceil(math.log2(gap)) + 2
 
 
 @given(
