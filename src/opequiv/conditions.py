@@ -144,6 +144,14 @@ class _Side:
         zeros = [0] * max(0, min(hi + 1, base) - lo)
         return zeros + self.cum[max(lo - base, 0) : max(hi - base + 1, 0)]
 
+    def grown_count(self, lo: int, hi: int) -> Optional[int]:
+        """Finite count in buckets [lo, hi], or None when the array does not
+        reach hi yet; unlike ``cum_range`` it never grows the array."""
+        if hi - self.base >= len(self.cum):
+            return None
+        below, top = self.cum_range(lo - 1, lo - 1), self.cum_range(hi, hi)
+        return top[0] - below[0]
+
     def remainder(self) -> "_Side":
         """The explicit finite buckets alone, as a side of their own."""
         if self._remainder is None:
@@ -577,7 +585,37 @@ def _prepare(a: BucketMeasure, b: BucketMeasure) -> tuple[_Side, _Side]:
 # The search takes certification to be monotone in q (widening only adds
 # content to b's windows): when q_max is not certified, no smaller q is, and
 # the refusal carries q_max's note. Presence is monotone in N as well (larger
-# N sees fewer windows). Both searches gallop from 1 (tails.least_true).
+# N sees fewer windows). The q search gallops from the covering floor below,
+# the N search from 1 (tails.least_true).
+
+
+def _covering_floor(sa: _Side, sb: _Side, q_max: int, k_min: Optional[int]) -> int:
+    """A widening f >= 0 such that no q <= f certifies, once q_max has.
+
+    Each explicit finite bucket j (j >= k_min) makes [j, j] a window of its
+    side, which the other side's [j - q, j + q] must cover: by an infinite
+    bucket in reach, or by at least as many finite values. The least such q
+    is bucket j's covering radius r_j, and the floor is max(r_j) - 1. Reads
+    only counts the q_max check has grown; a count it has not grown covers.
+    """
+    best = 1  # the largest radius so far
+    for x, y in ((sa, sb), (sb, sa)):
+        for j in x.finite_explicit:
+            if k_min is not None and j < k_min:
+                continue
+            need = x.grown_count(j, j)
+            if need is None:
+                continue
+
+            def covered(q: int) -> bool:
+                if y.aleph_at_or_reaching(j - q, j + q) is not None:
+                    return True
+                got = y.grown_count(j - q, j + q)
+                return got is None or got >= need
+
+            if not covered(best):
+                best = least_true(covered, best, q_max)
+    return best - 1
 
 
 def _search(
@@ -592,7 +630,8 @@ def _search(
         return replace(worst, n_cutoff=n_max)
     if worst.unsupported is not None:
         raise UnsupportedTailError(worst.unsupported)
-    q = least_true(lambda q: _check_both(sa, sb, q, n_max).present, 0, q_max)
+    floor = _covering_floor(sa, sb, q_max, n_max)
+    q = least_true(lambda q: _check_both(sa, sb, q, n_max).present, floor, q_max)
     n = None
     if n_max is not None:
         n = least_true(lambda n: _check_both(sa, sb, q, n).present, 0, n_max)

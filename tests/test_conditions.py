@@ -596,6 +596,83 @@ def test_galloping_cutoff_search_matches_bisection_on_random_pairs(a, b, q_max, 
     assert search_result(condition_s_tilde_outcome, *args) == search_result(linear_s_tilde, *args)
 
 
+@given(cutoff_measures, cutoff_measures, st.integers(1, 16))
+@settings(max_examples=200, deadline=None)
+def test_galloping_strong_search_matches_linear_on_random_pairs(a, b, q_max):
+    args = (a, b, q_max)
+    assert search_result(condition_s_outcome, *args) == search_result(linear_s, *args)
+
+
+# ---------------------------------------------------------------------------
+# The covering floor the q search starts from
+
+
+@st.composite
+def far_apart_pairs(draw):
+    """The same counts on both sides, each of b's buckets moved up to 30
+    buckets past a's, so that single-bucket windows need wide widenings."""
+    counts = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+    gap = draw(st.integers(1, 8))
+    shifts = draw(st.lists(st.integers(0, 30), min_size=len(counts), max_size=len(counts)))
+    a = {40 + i * gap: c for i, c in enumerate(counts)}
+    b = {}
+    for (j, c), s in zip(a.items(), shifts):
+        b[j + s] = b.get(j + s, 0) + c
+    a, b = ({j: Finite(c) for j, c in m.items()} for m in (a, b))
+    atoms = draw(st.sampled_from([(), (ConstantRay(140, Finite(2)),), (GeometricRay(140, 2),)]))
+    if draw(st.booleans()):
+        a[-1] = b[-1] = ALEPH0
+    return meas(a, atoms), meas(b, atoms)
+
+
+@given(far_apart_pairs(), st.integers(1, 48), st.sampled_from([None, 1, 30, 48]))
+@settings(max_examples=120, deadline=None)
+def test_covering_floor_is_never_certified(pair, q_max, n_max):
+    a, b = pair
+    sa, sb = conditions._prepare(a, b)
+    if not conditions._check_both(sa, sb, q_max, n_max).present:
+        return
+    f = conditions._covering_floor(sa, sb, q_max, n_max)
+    assert 0 <= f < q_max
+    if f >= 1:
+        assert not conditions._check_both(sa, sb, f, n_max).present
+        explicit = sorted(set(a.buckets) | set(b.buckets))
+        assert any(not dominated(a, b, f, j, j, 1, n_max) for j in explicit)
+    # Starting there changes no answer of either search.
+    if n_max is None:
+        assert search_result(condition_s_outcome, a, b, q_max) == search_result(linear_s, a, b, q_max)
+    else:
+        args = (a, b, q_max, n_max)
+        assert search_result(condition_s_tilde_outcome, *args) == search_result(linear_s_tilde, *args)
+
+
+@pytest.mark.parametrize("q_max", [32, 40, 48])
+def test_shifted_block_needs_two_widenings(monkeypatch, q_max):
+    # The window-scan benchmark's shape: a 16-bucket block shifted by
+    # q_max - 1 against itself, an infinite bucket at -1 and the same
+    # geometric ray on each side. Only q_max - 1 covers the block's last
+    # bucket, so the floor is q_max - 2 and the q search checks once.
+    calls = []
+    check = conditions._check_both
+    monkeypatch.setattr(
+        conditions, "_check_both", lambda sa, sb, q, k: calls.append((q, k)) or check(sa, sb, q, k)
+    )
+    block = [3, 1, 6, 2, 5, 5, 1, 4, 2, 6, 3, 1, 2, 4, 6, 1]
+    k0, shift = q_max + 6, q_max - 1
+    ray = (GeometricRay(k0 + shift + len(block) + q_max + 8, 2),)
+
+    def side(at):
+        return meas({-1: ALEPH0, **{at + i: Finite(c) for i, c in enumerate(block)}}, ray)
+
+    t, s = side(k0), side(k0 + shift)
+    assert condition_s_outcome(t, s, q_max).q_used == q_max - 1
+    assert calls == [(q_max, None), (q_max - 1, None)]
+    calls.clear()
+    out = condition_s_tilde_outcome(t, s, q_max, 16)
+    assert (out.q_used, out.n_cutoff) == (q_max - 1, 1)
+    assert calls == [(q_max, 16), (q_max - 1, 16), (q_max - 1, 1)]
+
+
 # ---------------------------------------------------------------------------
 # Segment scan against direct window counts
 
@@ -824,6 +901,17 @@ def test_span_dom_certifies_up_to_the_deepest_rung_bound(q, h_from):
         for dom in (conditions._span_dom, span_dom_ladder):
             assert dom(x, y, q, HALF, h_from, bound)
             assert not dom(x, y, q, HALF, h_from, bound + 1)
+
+
+@pytest.mark.xfail(reason="_span_dom tests its bound at the deepest rung only; the depths between h_from and that rung go unchecked")
+def test_span_dom_refuses_a_gap_below_its_deepest_rung():
+    x = SeqSpan(PowerSeq(F(7, 2), F(3)), 17, 2)
+    y = SeqSpan(PowerSeq(F(1, 8), F(3)), 3, 3)
+    gaps = [
+        y.count_ge(pow_delta(HALF, h + 9)) - x.count_ge(pow_delta(HALF, h + 1)) for h in range(4, 11)
+    ]
+    assert gaps == [24, 30, 42, 54, 69, 90, 108]  # each below the offset 118
+    assert not conditions._span_dom(x, y, 8, HALF, 4, 118)
 
 
 def test_span_dom_counts_at_most_twice(monkeypatch):
