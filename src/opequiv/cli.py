@@ -138,12 +138,9 @@ def _svd_tol(node, path: str) -> Fraction:
 
 def _card(node, path: str) -> Cardinal:
     try:
-        card = card_from_json(node)
+        return card_from_json(node)
     except ValueError as e:
         _fail(path, str(e))
-    if not isinstance(node, str) and node < 0:
-        _fail(path, "a finite cardinal cannot be negative")
-    return card
 
 
 def _int(node, path: str, minimum: Optional[int] = 0) -> int:

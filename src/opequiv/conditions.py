@@ -121,7 +121,6 @@ class _Side:
         self.explicit_total = sum(self.finite_explicit.values())
         self.cum = [0]
         self._explicit_run = 0  # explicit count in buckets <= the list's top
-        self._remainder: Optional[_Side] = None
 
     def _grow(self, h: int) -> None:
         lo = self.base + len(self.cum)
@@ -151,12 +150,6 @@ class _Side:
             return None
         below, top = self.cum_range(lo - 1, lo - 1), self.cum_range(hi, hi)
         return top[0] - below[0]
-
-    def remainder(self) -> "_Side":
-        """The explicit finite buckets alone, as a side of their own."""
-        if self._remainder is None:
-            self._remainder = _Side(BucketMeasure(self.delta, dict(self.finite_explicit)))
-        return self._remainder
 
     def aleph_at_or_reaching(self, lo: int, hi: int) -> Optional[int]:
         """Highest infinite level present in buckets [lo, hi], if any."""
@@ -337,9 +330,9 @@ def _span_dom(
 # window [k, h] with h > h_scan must satisfy U(h) > V(k-1) with k-1 either
 # inside the last scanned segment (whose V-minimum v_last is known) or beyond
 # the scan; windows spanning a cut position are settled by infinite-
-# bucket absorption. The certificates establish U(h) <= 0 for all h > h_scan
-# and V(m) >= 0 for all m > h_scan, which together with v_last >= 0 rules
-# every such window out.
+# bucket absorption. The certificates establish a bound D with U(h) <= D for
+# all h > h_scan and V(m) >= D for all m > h_scan, which together with
+# v_last >= D rules every such window out.
 
 
 def _ray_like(atom) -> tuple:
@@ -375,24 +368,17 @@ def _rule_density(atom, delta: Fraction):
 
 
 def _tail_certificate(
-    a: _Side,
-    b: _Side,
-    q: int,
-    seg_lo: int,
-    h_scan: int,
-    k_min: Optional[int],
-    v_last: int,
+    a: _Side, b: _Side, q: int, h_scan: int, k_min: Optional[int], v_last: int
 ) -> Optional[str]:
     """None when no window with content beyond h_scan can violate domination;
     an explanatory string when no certificate applies. ``a`` has tail atoms."""
-    # Identical unbounded generators cancel window-by-window (the widened
-    # window contains the plain one), so only the explicit remainders must
-    # dominate on their own — a finite sub-problem, scanned exhaustively.
+    # An identical generator G adds G(h) - G(h+q) <= 0 to U(h) and
+    # G(m) - G(m-q) >= 0 to V(m); past h_scan the explicit buckets are all
+    # counted, so U <= D <= V there with D = |Ea| - |Eb|. v_last >= D, or no
+    # window start at or below h_scan, then rules out every deep window.
     if a.generator_key == b.generator_key:
-        ea, eb = a.remainder(), b.remainder()
-        idx = [seg_lo] + ea.structural + eb.structural
-        hit, _ = _scan_segment(ea, eb, q, seg_lo, max(idx) + q + 2, k_min)
-        if hit is None:
+        no_scanned_start = k_min is not None and k_min > h_scan
+        if no_scanned_start or v_last >= a.explicit_total - b.explicit_total:
             return None
         return "identical tail generators but undominated explicit remainder"
     # Single same-family sequence spans: exact envelope analytics, with the
@@ -510,8 +496,7 @@ def _check_direction(
         return None
     if not a.finite_atoms:
         return None
-    last_lo = segments[-1][0] if segments else lo
-    cert = _tail_certificate(a, b, q, last_lo, h_scan, k_min, v_last)
+    cert = _tail_certificate(a, b, q, h_scan, k_min, v_last)
     if cert is None:
         return None
     found = _analytic_violation(a, b, q, h_scan, k_min)

@@ -1,6 +1,8 @@
 """Tests for the window-domination conditions on bucket measures."""
 
+from dataclasses import replace
 from fractions import Fraction as F
+from itertools import accumulate, islice
 
 import pytest
 import test_acceptance as acceptance
@@ -24,7 +26,9 @@ from opequiv import (
     SeqSpan,
     SparseRay,
     UnsupportedTailError,
+    card_add,
     card_le,
+    card_sum,
     check_condition_S,
     check_condition_S_tilde,
     condition_s_outcome,
@@ -47,15 +51,25 @@ def diag_inverse():
     return modulus_data(CompactDiagonal(prefix=(), tail=PowerSeq(F(1), F(1))), HALF)
 
 
-def dominated(a, b, q, k_lo, k_hi, l_max, k_min=None):
-    """Brute-force check of both window inequalities at widening q."""
+def dominated(a, b, q, k_lo, k_hi, l_max, k_min=None, h_max=None):
+    """Brute-force check of both window inequalities at widening q, over the
+    windows [k, h] with k_lo <= k <= k_hi (and k >= k_min), h - k < l_max
+    and, when h_max is set, h <= h_max. Counts are summed bucket by bucket
+    from ``BucketMeasure.window_count``."""
+    if k_min is not None:
+        k_lo = max(k_lo, k_min)
+    h_top = k_hi + l_max - 1 if h_max is None else min(h_max, k_hi + l_max - 1)
     for f, g in ((a, b), (b, a)):
-        for k in range(k_lo if k_min is None else max(k_lo, k_min), k_hi + 1):
-            for length in range(1, l_max + 1):
-                left = f.window_count(k, k + length - 1)
-                right = g.window_count(k - q, k + length - 1 + q)
-                if not card_le(left, right):
-                    return False
+        fc = [f.window_count(j, j) for j in range(k_lo, h_top + 1)]
+        gc = [g.window_count(j, j) for j in range(k_lo - q, h_top + q + 1)]
+        for i in range(k_hi - k_lo + 1):
+            n = min(l_max, len(fc) - i)
+            # f over [k, h] and g over [k - q, h + q], for h = k, k + 1, ...
+            left = accumulate(fc[i : i + n], card_add)
+            below = card_sum(gc[i : i + 2 * q])  # g over [k - q, k + q - 1]
+            widened = accumulate(gc[i + 2 * q : i + 2 * q + n], card_add, initial=below)
+            if not all(map(card_le, left, islice(widened, 1, None))):
+                return False
     return True
 
 
@@ -965,8 +979,106 @@ def test_bounded_certificate_refuses_a_wide_geometric_span():
     assert s.window_count(12, 427) == Finite(108160)
     a, b = conditions._Side(t), conditions._Side(s)
     assert a.densities == [("bounded", F(274))]
-    got = conditions._tail_certificate(a, b, 8, 0, 500, None, 0)
+    got = conditions._tail_certificate(a, b, 8, 500, None, 0)
     assert got == "bounded tail density without a dominating coverage bound"
+
+
+# ---------------------------------------------------------------------------
+# Identical tail generators
+
+
+def remainder_certifies(a, b, q, seg_lo, k_min):
+    """The certificate that identical generators once took: the explicit
+    buckets alone, scanned from the last segment's start, must dominate."""
+
+    def remainder(side):
+        explicit = {j: Finite(c) for j, c in side.finite_explicit.items()}
+        return conditions._Side(meas(explicit, delta=side.delta))
+
+    ea, eb = remainder(a), remainder(b)
+    top = max([seg_lo] + ea.structural + eb.structural) + q + 2
+    hit, _ = conditions._scan_segment(ea, eb, q, seg_lo, top, k_min)
+    return hit is None
+
+
+shared_atoms = st.one_of(
+    st.builds(ConstantRay, st.integers(-4, 14), st.integers(1, 3).map(Finite)),
+    st.builds(GeometricRay, st.integers(0, 14), st.integers(2, 3)),
+    st.builds(SparseRay, st.integers(0, 14)),
+    st.builds(
+        lambda model, start: SeqRay(SeqSpan(model, start)),
+        st.sampled_from([PowerSeq(F(1), F(1)), PowerSeq(F(1, 4), F(2)), GeometricSeq(F(1), F(1, 3)), FactorialSeq()]),
+        st.integers(1, 4),
+    ),
+)
+
+
+@st.composite
+def shared_generator_pairs(draw):
+    """Explicit buckets -4..14, all moved down by 150 or not, an optional
+    aleph0 at -1 on both sides, and the same one or two tail atoms."""
+    shift = draw(st.sampled_from([0, -150]))
+
+    def explicit():
+        got = draw(st.dictionaries(st.integers(-4, 14), st.integers(1, 3), max_size=4))
+        return {j + shift: Finite(c) for j, c in got.items()}
+
+    a, b = explicit(), explicit()
+    if draw(st.booleans()):
+        a[-1] = b[-1] = ALEPH0
+    atoms = draw(st.lists(shared_atoms, min_size=1, max_size=2))
+    # Constant rays move with the buckets; the other atoms cannot start below 0.
+    atoms = tuple(replace(x, start=x.start + shift) if isinstance(x, ConstantRay) else x for x in atoms)
+    return meas(a, atoms), meas(b, atoms)
+
+
+@given(
+    shared_generator_pairs(),
+    st.integers(1, 4),
+    st.one_of(st.none(), st.integers(-2, 10), st.integers(10, 80)),
+)
+@settings(max_examples=40, deadline=None)
+def test_identical_generators_certify_from_the_scan_minimum(pair, q, k_min):
+    a, b = pair
+    starts, horizons = [], []
+    scan, certify = conditions._scan_segment, conditions._tail_certificate
+
+    def recording_scan(x, y, q, seg_lo, seg_hi, k_min):
+        starts.append(seg_lo)
+        return scan(x, y, q, seg_lo, seg_hi, k_min)
+
+    def compared_certificate(x, y, q, h_scan, k_min, v_last):
+        got = certify(x, y, q, h_scan, k_min, v_last)
+        # With no window start left in the scan, the last segment began at k_min.
+        seg_lo = starts[-1] if k_min is None or k_min <= h_scan else k_min
+        # Whatever the remainder scan certified, the scan minimum certifies.
+        assert got is None or not remainder_certifies(x, y, q, seg_lo, k_min)
+        horizons.append(h_scan)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conditions, "_scan_segment", recording_scan)
+        mp.setattr(conditions, "_tail_certificate", compared_certificate)
+        out = conditions._check_both(*conditions._prepare(a, b), q, k_min)
+    if out.present and horizons:
+        lo = min([0, *a.buckets, *b.buckets, *(x.first_bucket(HALF) for x in a.atoms)]) - q - 2
+        h_top = max(horizons) + 60
+        assert dominated(a, b, q, lo, h_top, h_top - lo + 1, k_min, h_max=h_top)
+
+
+def test_cutoff_past_the_scan_horizon_leaves_no_window_for_the_remainder():
+    # T has two extra values at -150, beside one per bucket from -150 on in
+    # both. The q search runs at N = 64, and for q < 52 every window starts
+    # past the scan horizon, 12 + q, so none holds T's extra values and no
+    # scan minimum is read. A default minimum of 0, read against T's
+    # explicit surplus of 2, would refuse each of those q.
+    ray = (ConstantRay(-150, Finite(1)),)
+    t = meas({-200: ALEPH0, -150: Finite(2)}, ray)
+    s = meas({-200: ALEPH0}, ray)
+    sa, sb = conditions._prepare(t, s)
+    assert conditions._check_both(sa, sb, 1, 64).present
+    out = condition_s_tilde_outcome(t, s)
+    assert (out.q_used, out.n_cutoff) == (1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -983,6 +1095,14 @@ def test_span_alignment_moves_the_earlier_start():
     t, s = power_from(1), power_from(2)
     aligned, same = conditions._align_seq_rays(t, s)
     assert same is s and aligned.atoms[1].span.start == 2
+    out = condition_s_outcome(t, s, q_max=8)
+    assert out.present and out.q_used == 1 and out.delta_prime == HALF
+
+
+def test_span_alignment_moves_the_earlier_start_of_s():
+    t, s = power_from(2), power_from(1)
+    same, aligned = conditions._align_seq_rays(t, s)
+    assert same is t and aligned.atoms[1].span.start == 2
     out = condition_s_outcome(t, s, q_max=8)
     assert out.present and out.q_used == 1 and out.delta_prime == HALF
 
@@ -1014,8 +1134,8 @@ def exp_floor_beyond(side, j0, q):
 def certificate_with_floor(fired):
     real = conditions._tail_certificate
 
-    def certify(a, b, q, seg_lo, h_scan, k_min, v_last):
-        got = real(a, b, q, seg_lo, h_scan, k_min, v_last)
+    def certify(a, b, q, h_scan, k_min, v_last):
+        got = real(a, b, q, h_scan, k_min, v_last)
         if got == "bounded tail density without a dominating coverage bound":
             floor = exp_floor_beyond(b, h_scan, q)
             if floor is not None and floor >= sum(v for _, v in a.densities):

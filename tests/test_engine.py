@@ -216,6 +216,20 @@ def test_strong_noncompact_uses_window_condition():
     assert v.holds and v.witness.delta_prime == HALF
 
 
+def test_extra_value_beside_a_shared_tail_holds_at_widening_one():
+    # T = I_aleph0 + 1/n + 1/1000 against S = I_aleph0 + 1/n. The extra value
+    # of T sits among values of the shared tail 1/n, and S's window widened by
+    # one bucket holds more of them than T's extra value needs.
+    t = direct_sum(direct_sum(I_INF, inv_n()), diag("1/1000"))
+    s = direct_sum(I_INF, inv_n())
+    v = decide_strong(t, s)
+    assert v.holds and v.witness.delta_prime == HALF
+    assert v.notes == ("window widening exponent 1",)
+    v = decide_extension_family(t, s)
+    assert v.holds and v.witness.delta_prime == HALF
+    assert v.notes[:2] == ("window cutoff N=1", "widening exponent 1")
+
+
 def test_strong_refusal_names_the_lexicographically_first_window():
     # S doubles T's factorial tail. The scan reports the least start, then
     # the least length; the window ending first starts later ([17, 52]).
@@ -249,6 +263,48 @@ def test_strong_bucket_only_data_is_inconclusive():
     v = decide_strong(b, b)
     assert not v.holds and v.reason == "Inconclusive"
     assert any("bucket-count data" in n for n in v.notes)
+
+
+# ---------------------------------------------------------------------------
+# Value-comparison refusals (both relations normalise the value sequences)
+
+
+def assert_inconclusive(v, note):
+    assert (v.holds, v.reason, v.notes) == (False, "Inconclusive", (note,))
+
+
+@pytest.mark.parametrize("decide", [decide_strong, decide_extension_family])
+def test_value_comparison_refuses_two_tails_in_one_operand(decide):
+    two_tails = direct_sum(inv_n(), diag(tail=PowerSeq(F(1), F(2))))
+    v = decide(two_tails, inv_n())
+    assert_inconclusive(v, "value comparison supports at most one symbolic tail per operand")
+
+
+@pytest.mark.parametrize("decide", [decide_strong, decide_extension_family])
+def test_value_comparison_refuses_irrational_tail_values_above_an_explicit_one(decide):
+    # n^(-1/2) is irrational from n = 2 on and stays above 1/1000 until n = 10^6.
+    t = direct_sum(diag(tail=PowerSeq(F(1), F(1, 2))), diag("1/1000"))
+    assert_inconclusive(decide(t, t), "cannot interleave irrational tail values with explicit ones")
+
+
+@pytest.mark.parametrize("decide", [decide_strong, decide_extension_family])
+def test_prefix_check_bounds_the_tail_head_pulled_into_the_prefix(decide):
+    # Placing 1/100 among the values of 1/n pulls the 99 terms above it out of
+    # the tail, which needs prefix_check + 64 >= 99.
+    t = direct_sum(inv_n(), diag("1/100"))
+    for budget in (17, 34):
+        v = decide(t, t, EngineParams(prefix_check=budget))
+        assert_inconclusive(v, "tail-head normalization exceeded the prefix budget")
+    for params in (EngineParams(prefix_check=35), None):
+        v = decide(t, t, params)
+        assert v.holds and v.witness.delta_prime == F(1) and v.witness.shift == 0
+
+
+def test_extension_compact_operator_against_an_infinite_ray_is_not_comparable():
+    ray = Buckets(BucketMeasure(HALF, {}, (ConstantRay(0, ALEPH0),)))
+    v = decide_extension_family(inv_n(), ray)
+    assert (v.holds, v.reason) == (False, "NotComparable")
+    assert v.notes == ("a compact operator cannot match unboundedly many infinite-dimensional buckets",)
 
 
 # ---------------------------------------------------------------------------
