@@ -66,28 +66,19 @@ def sdr_match(t_buckets, s_buckets, width: int):
     slot of ``s_buckets`` (sorted ascending) whose bucket lies within
     ``width`` of its own. Returns one slot index per element, -1 when no slot
     is available. Least-slot greedy is optimal here because candidate ranges
-    are nested staircase intervals.
+    are nested staircase intervals whose bounds only move up: every slot from
+    ``lo`` to the last one claimed is taken, so the least free is max(free, lo).
     """
-    ns = len(s_buckets)
-    parent = list(range(ns + 1))
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
     out = []
+    free = 0  # one past the last claimed slot
     for j, run in groupby(t_buckets):  # elements of one bucket share a window
         lo = bisect_left(s_buckets, j - width)
         hi = bisect_right(s_buckets, j + width)
+        free = max(free, lo)
         for _ in run:
-            slot = find(lo)
-            if slot < hi:
-                out.append(slot)
-                parent[slot] = slot + 1
+            if free < hi:
+                out.append(free)
+                free += 1
             else:
                 out.append(-1)
     return out

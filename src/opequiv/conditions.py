@@ -13,9 +13,9 @@ infinite bucket of ``b`` is trivially dominated. What remains is
 integer-valued and decided exactly: finite stretches by the matcher's window
 scan (``_matchcore_py.first_window``, lexicographically first window) over
 count arrays, unbounded tails by closed-form certificates on the symbolic tail
-atoms, with failures located as concrete re-checkable windows. Tail
-combinations with no certificate and no located violation raise
-UnsupportedTailError rather than guessing either way.
+atoms. Probes only ask whether a widening certifies; where a direction has no
+certificate, the q_max check scans past the horizon for a re-checkable window
+and raises UnsupportedTailError, rather than guessing, when none turns up.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class _Side:
         self.structural = (
             firsts + [j for j, _ in self.aleph_points] + [s for s, _ in self.aleph_rays]
         )
-        # Tail facts the certificates and the probe stretch read at every widening.
+        # Tail facts the certificates read at every widening, the stretch at q_max.
         self.generator_key = sorted(map(_ray_like, self.finite_atoms))
         self.spans = [x.span for x in self.finite_atoms if isinstance(x, SeqRay)]
         self.densities = [_rule_density(x, self.delta) for x in self.finite_atoms]
@@ -411,10 +411,12 @@ def _tail_certificate(
 
 
 def _analytic_violation(
-    a: _Side, b: _Side, q: int, h_scan: int, k_min: Optional[int]
+    a: _Side, b: _Side, q: int, k_min: Optional[int]
 ) -> Optional[tuple[int, int]]:
     """Scan a stretch past the scan horizon for a violating window, deep
-    enough to show provable growth mismatches; windows start at k >= k_min."""
+    enough to show provable growth mismatches; windows start at k >= k_min.
+    Only the q_max check runs it, on a direction without a certificate."""
+    h_scan = _horizon(a, b, q)
     if any(k in ("exp", "exp_root") for k, _ in a.densities):
         # a's per-bucket counts grow without bound; if b's stay bounded or
         # grow strictly slower, deep single buckets violate.
@@ -447,10 +449,19 @@ def _sparse_depth(a: _Side, b: _Side, q: int) -> int:
     return deep
 
 
+def _horizon(a: _Side, b: _Side, q: int) -> int:
+    """The last bucket the segment scans reach; past it the certificates rule."""
+    h_scan = max(a.structural + b.structural) + q + 2 + _SCAN_SLACK
+    if any(k == "sparse" for k, _ in a.densities + b.densities):
+        h_scan = max(h_scan, _sparse_depth(a, b, q) + 2 * q + 8)
+    return h_scan
+
+
 def _check_direction(
     a: _Side, b: _Side, q: int, k_min: Optional[int]
 ) -> Union[None, tuple[int, int], str]:
-    """None = dominated; (k, l) = violating window of a; str = unsupported."""
+    """None = dominated; (k, l) = violating window of a found by the scans;
+    str = no certificate covers a's tail past the scan horizon."""
     hit = _aleph_coverage(a, b, q, k_min)
     if hit is not None:
         return hit
@@ -468,9 +479,7 @@ def _check_direction(
     lo = min(structural) - q - 2
     if k_min is not None:
         lo = max(lo, k_min)
-    h_scan = max(structural) + q + 2 + _SCAN_SLACK
-    if any(k == "sparse" for k, _ in a.densities + b.densities):
-        h_scan = max(h_scan, _sparse_depth(a, b, q) + 2 * q + 8)
+    h_scan = _horizon(a, b, q)
     # Ray starts are structural, so hi_cap (when set) lies below h_scan.
     top = h_scan if hi_cap is None else min(h_scan, hi_cap)
 
@@ -492,17 +501,9 @@ def _check_direction(
             return got
         v_last = v_min
 
-    if hi_cap is not None:
+    if hi_cap is not None or not a.finite_atoms:
         return None
-    if not a.finite_atoms:
-        return None
-    cert = _tail_certificate(a, b, q, h_scan, k_min, v_last)
-    if cert is None:
-        return None
-    found = _analytic_violation(a, b, q, h_scan, k_min)
-    if found is not None:
-        return found
-    return cert
+    return _tail_certificate(a, b, q, h_scan, k_min, v_last)
 
 
 # ---------------------------------------------------------------------------
@@ -546,17 +547,30 @@ def _align_seq_rays(a: BucketMeasure, b: BucketMeasure):
 # Public checks
 
 
-def _check_both(sa: _Side, sb: _Side, q: int, k_min: Optional[int]) -> ConditionOutcome:
-    """Both directions at widening q; a located violation outranks unsupported."""
-    left = _check_direction(sa, sb, q, k_min)
-    if isinstance(left, tuple):  # it outranks whatever the right side finds
-        return ConditionOutcome(q_used=q, violation=WindowViolation("left", *left))
-    right = _check_direction(sb, sa, q, k_min)
-    if isinstance(right, tuple):
-        return ConditionOutcome(q_used=q, violation=WindowViolation("right", *right))
-    for res in (left, right):
-        if isinstance(res, str):
-            return ConditionOutcome(q_used=q, unsupported=res)
+def _check_both(sa: _Side, sb: _Side, q: int, k_min: Optional[int]):
+    """Both directions at widening q, left first, as (side, a, b, what
+    _check_direction answers); lazy, so a reader stops where it likes."""
+    yield "left", sa, sb, _check_direction(sa, sb, q, k_min)
+    yield "right", sb, sa, _check_direction(sb, sa, q, k_min)
+
+
+def _certified(sa: _Side, sb: _Side, q: int, k_min: Optional[int]) -> bool:
+    """Whether widening q certifies; stops at the first direction that does not."""
+    return all(got is None for *_, got in _check_both(sa, sb, q, k_min))
+
+
+def _outcome_at(sa: _Side, sb: _Side, q: int, k_min: Optional[int]) -> ConditionOutcome:
+    """The full outcome at widening q. A direction without a certificate looks
+    past the scan horizon; the first window found wins, else the first note."""
+    notes = []
+    for side, a, b, got in _check_both(sa, sb, q, k_min):
+        if isinstance(got, str):
+            notes.append(got)
+            got = _analytic_violation(a, b, q, k_min)
+        if got is not None:
+            return ConditionOutcome(q_used=q, violation=WindowViolation(side, *got))
+    if notes:
+        return ConditionOutcome(q_used=q, unsupported=notes[0])
     return ConditionOutcome(delta_prime=pow_delta(sa.delta, q), q_used=q)
 
 
@@ -610,16 +624,16 @@ def _search(
     N at that q."""
     sa, sb = _prepare(a, b)
     # A violation at the loosest widening certifies failure for every q.
-    worst = _check_both(sa, sb, q_max, n_max)
+    worst = _outcome_at(sa, sb, q_max, n_max)
     if worst.violation is not None:
         return replace(worst, n_cutoff=n_max)
     if worst.unsupported is not None:
         raise UnsupportedTailError(worst.unsupported)
     floor = _covering_floor(sa, sb, q_max, n_max)
-    q = least_true(lambda q: _check_both(sa, sb, q, n_max).present, floor, q_max)
+    q = least_true(lambda q: _certified(sa, sb, q, n_max), floor, q_max)
     n = None
     if n_max is not None:
-        n = least_true(lambda n: _check_both(sa, sb, q, n).present, 0, n_max)
+        n = least_true(lambda n: _certified(sa, sb, q, n), 0, n_max)
     return ConditionOutcome(delta_prime=pow_delta(sa.delta, q), n_cutoff=n, q_used=q)
 
 

@@ -664,16 +664,21 @@ def test_main_rejects_a_negative_svd_tol_flag(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["holds"] is True
 
 
-FIXTURES = Path(__file__).resolve().parent / "fixtures" / "matrix"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+REPLAYED = sorted(
+    p for d in ("matrix", "tail-certify") for p in (FIXTURES / d).glob("*.json") if p.name != "expected.json"
+)
 
 
-@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json") if p.name != "expected.json"))
-def test_matrix_documents_replay_byte_for_byte(name, capsys):
-    # expected.json holds the stdout, stderr and exit code of
-    # `opequiv decide --input NAME.json` as recorded before matrices were
-    # parsed in bulk; the matrix path must keep reproducing them exactly.
-    expected = json.loads((FIXTURES / "expected.json").read_text(encoding="utf-8"))[name]
-    code = main(["decide", "--input", str(FIXTURES / f"{name}.json")])
+@pytest.mark.parametrize("path", REPLAYED, ids=lambda p: p.stem)
+def test_matrix_documents_replay_byte_for_byte(path, capsys):
+    # Each directory's expected.json holds the stdout, stderr and exit code
+    # of `opequiv decide --input NAME.json`, recorded before a rewrite of the
+    # layer the documents exercise: matrix/ before matrices were parsed in
+    # bulk, tail-certify/ (the benchmark's seed-101 tail-certify round)
+    # before the stretch past the scan horizon left the (q, N) probes.
+    expected = json.loads((path.parent / "expected.json").read_text(encoding="utf-8"))[path.stem]
+    code = main(["decide", "--input", str(path)])
     out = capsys.readouterr()
     assert (code, out.out, out.err) == (expected["exit_code"], expected["stdout"], expected["stderr"])
 

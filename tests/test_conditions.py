@@ -16,6 +16,7 @@ from opequiv import (
     CompactDiagonal,
     ConstantRay,
     DeltaMismatchError,
+    DirectSum,
     FactorialSeq,
     Finite,
     GeometricRay,
@@ -289,7 +290,7 @@ def test_segments_between_infinite_points_match_brute_force(a, b, q, k_min):
     # Windows whose widening reaches an infinite bucket of b are dominated and
     # those holding one of a's are settled by coverage; the segments cut out
     # between them must hold every other window.
-    out = conditions._check_both(*conditions._prepare(a, b), q, k_min)
+    out = conditions._outcome_at(*conditions._prepare(a, b), q, k_min)
     idx = list(a.buckets) + list(b.buckets) + [0]
     lo, hi, span = min(idx) - 1, max(idx) + 1, max(idx) - min(idx) + 3
     assert out.present == dominated(a, b, q, lo, hi, span, k_min)
@@ -457,11 +458,11 @@ def test_tail_facts_are_computed_once_per_side(monkeypatch):
 def linear_s(a, b, q_max=64):
     """Check q_max, then every q from 1 upward."""
     sa, sb = conditions._prepare(a, b)
-    worst = conditions._check_both(sa, sb, q_max, None)
+    worst = conditions._outcome_at(sa, sb, q_max, None)
     if worst.violation is not None:
         return worst
     for q in range(1, q_max + 1):
-        out = conditions._check_both(sa, sb, q, None)
+        out = conditions._outcome_at(sa, sb, q, None)
         if out.present:
             return out
     raise UnsupportedTailError(
@@ -474,14 +475,14 @@ def linear_s_tilde(a, b, q_max=64, n_max=64):
     """Check (q_max, n_max), then every q from 1 upward; bisect N at the first
     q that works."""
     sa, sb = conditions._prepare(a, b)
-    worst = conditions._check_both(sa, sb, q_max, n_max)
+    worst = conditions._outcome_at(sa, sb, q_max, n_max)
     if worst.violation is not None:
         return conditions.ConditionOutcome(
             q_used=worst.q_used, n_cutoff=n_max, violation=worst.violation
         )
     unsupported = worst.unsupported
     for q in range(1, q_max + 1):
-        wide = conditions._check_both(sa, sb, q, n_max)
+        wide = conditions._outcome_at(sa, sb, q, n_max)
         if wide.unsupported is not None:
             unsupported = wide.unsupported
             continue
@@ -490,7 +491,7 @@ def linear_s_tilde(a, b, q_max=64, n_max=64):
         lo, hi, best = 1, n_max, n_max
         while lo <= hi:
             mid = (lo + hi) // 2
-            if conditions._check_both(sa, sb, q, mid).present:
+            if conditions._outcome_at(sa, sb, q, mid).present:
                 best, hi = mid, mid - 1
             else:
                 lo = mid + 1
@@ -644,12 +645,12 @@ def far_apart_pairs(draw):
 def test_covering_floor_is_never_certified(pair, q_max, n_max):
     a, b = pair
     sa, sb = conditions._prepare(a, b)
-    if not conditions._check_both(sa, sb, q_max, n_max).present:
+    if not conditions._outcome_at(sa, sb, q_max, n_max).present:
         return
     f = conditions._covering_floor(sa, sb, q_max, n_max)
     assert 0 <= f < q_max
     if f >= 1:
-        assert not conditions._check_both(sa, sb, f, n_max).present
+        assert not conditions._outcome_at(sa, sb, f, n_max).present
         explicit = sorted(set(a.buckets) | set(b.buckets))
         assert any(not dominated(a, b, f, j, j, 1, n_max) for j in explicit)
     # Starting there changes no answer of either search.
@@ -951,9 +952,41 @@ def test_left_violation_skips_the_right_direction(monkeypatch):
         conditions, "_check_direction", lambda a, *rest: directions.append(a) or real(a, *rest)
     )
     sa, sb = conditions._prepare(meas({0: Finite(2)}), meas({3: Finite(2)}))
-    out = conditions._check_both(sa, sb, 1, None)
+    out = conditions._outcome_at(sa, sb, 1, None)
     assert out.violation.side == "left"
     assert directions == [sa]
+
+
+def aleph_plus_diagonals(*tails):
+    x = ScaledIdentity(F(1), ALEPH0)
+    for tail in tails:
+        x = DirectSum(x, CompactDiagonal((), tail))
+    return modulus_data(x, HALF)
+
+
+def test_only_the_q_max_check_looks_past_the_horizon(monkeypatch):
+    stretches = []
+    real = conditions._analytic_violation
+
+    def counted(a, b, q, *rest):
+        stretches.append((len(a.finite_atoms), q))
+        return real(a, b, q, *rest)
+
+    monkeypatch.setattr(conditions, "_analytic_violation", counted)
+    # 1·(1/3)^n against 2·(1/3)^n: the q_max check certifies, and the probes
+    # below it that do not certify never look past the horizon.
+    t = aleph_plus_diagonals(GeometricSeq(F(1), F(1, 3)))
+    s = aleph_plus_diagonals(GeometricSeq(F(2), F(1, 3)))
+    out = condition_s_outcome(t, s, q_max=24)
+    assert (out.present, out.q_used, stretches) == (True, 3, [])
+    # 1/n! against twice 1/n!: the left direction has no certificate at
+    # q_max = 16 and its stretch finds nothing, so the right scan's window
+    # is the answer, after exactly one stretch.
+    t = aleph_plus_diagonals(FactorialSeq())
+    s = aleph_plus_diagonals(FactorialSeq(), FactorialSeq())
+    out = condition_s_outcome(t, s, q_max=16)
+    assert out.violation == conditions.WindowViolation("right", 16, 41)
+    assert stretches == [(1, 16)]  # T's one factorial tail, at q_max
 
 
 # ---------------------------------------------------------------------------
@@ -1059,7 +1092,7 @@ def test_identical_generators_certify_from_the_scan_minimum(pair, q, k_min):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conditions, "_scan_segment", recording_scan)
         mp.setattr(conditions, "_tail_certificate", compared_certificate)
-        out = conditions._check_both(*conditions._prepare(a, b), q, k_min)
+        out = conditions._outcome_at(*conditions._prepare(a, b), q, k_min)
     if out.present and horizons:
         lo = min([0, *a.buckets, *b.buckets, *(x.first_bucket(HALF) for x in a.atoms)]) - q - 2
         h_top = max(horizons) + 60
@@ -1076,7 +1109,7 @@ def test_cutoff_past_the_scan_horizon_leaves_no_window_for_the_remainder():
     t = meas({-200: ALEPH0, -150: Finite(2)}, ray)
     s = meas({-200: ALEPH0}, ray)
     sa, sb = conditions._prepare(t, s)
-    assert conditions._check_both(sa, sb, 1, 64).present
+    assert conditions._outcome_at(sa, sb, 1, 64).present
     out = condition_s_tilde_outcome(t, s)
     assert (out.q_used, out.n_cutoff) == (1, 1)
 

@@ -424,3 +424,38 @@ def test_sdr_match_matches_per_element_oracle(t_buckets, s_buckets, width):
     assert _matchcore_py.sdr_match(t_buckets, s_buckets, width) == oracle_sdr(
         t_buckets, s_buckets, width
     )
+
+
+def union_find_sdr(t_buckets, s_buckets, width):
+    """The union-find greedy that the slot pointer replaced, kept as its oracle."""
+    parent = list(range(len(s_buckets) + 1))
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    out = []
+    for j in t_buckets:
+        lo = bisect_left(s_buckets, j - width)
+        hi = bisect_right(s_buckets, j + width)
+        slot = find(lo)
+        if slot < hi:
+            parent[slot] = slot + 1
+        out.append(slot if slot < hi else -1)
+    return out
+
+
+@given(
+    st.lists(st.integers(0, 12), max_size=30).map(sorted),
+    st.lists(st.integers(0, 12), max_size=30).map(sorted),
+    st.integers(0, 2),
+)
+@settings(max_examples=300)
+def test_sdr_match_matches_the_union_find_greedy(t_buckets, s_buckets, width):
+    assert _matchcore_py.sdr_match(t_buckets, s_buckets, width) == union_find_sdr(
+        t_buckets, s_buckets, width
+    )
