@@ -9,7 +9,7 @@ total, and there is deliberately no subtraction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 MAX_ALEPH_LEVEL = 2
 
@@ -120,7 +120,18 @@ def card_from_json(value) -> Cardinal:
     if isinstance(value, int):
         return Finite(value)
     if isinstance(value, str) and value.startswith("aleph"):
-        suffix = value[5:]
-        if suffix.isdigit():
-            return Aleph(int(suffix))
+        level = canonical_int(value[5:])
+        if level is not None and level >= 0:
+            return Aleph(level)
     raise ValueError(f"not a cardinal: {value!r}")
+
+
+def canonical_int(text: str) -> Optional[int]:
+    """The integer ``text`` spells in canonical form, else None: ASCII
+    digits after an optional '-', without leading zeros, '+', spaces or '_',
+    so that distinct strings never name the same integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        return None
+    return n if str(n) == text else None

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cardinal import Cardinal, ZERO, card_from_json, card_to_json
+from .cardinal import Cardinal, ZERO, canonical_int, card_from_json, card_to_json
 from .engine import (
     EngineParams,
     EquivalenceWitness,
@@ -210,10 +210,9 @@ def _measure(obj: dict, path: str) -> BucketMeasure:
     if not isinstance(raw, dict):
         _fail(f"{path}/buckets", "expected an object mapping bucket index to count")
     for key, value in raw.items():
-        try:
-            j = int(key)
-        except ValueError:
-            _fail(f"{path}/buckets/{key}", f"bucket index {key!r} is not an integer")
+        j = canonical_int(key)
+        if j is None:
+            _fail(f"{path}/buckets/{key}", f"bucket index {key!r} is not an integer in canonical form")
         buckets[j] = _card(value, f"{path}/buckets/{key}")
     atoms = tuple(
         _atom(node, f"{path}/tails/{i}") for i, node in enumerate(obj.get("tails", ()))

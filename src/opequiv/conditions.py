@@ -13,9 +13,14 @@ infinite bucket of ``b`` is trivially dominated. What remains is
 integer-valued and decided exactly: finite stretches by the matcher's window
 scan (``_matchcore_py.first_window``, lexicographically first window) over
 count arrays, unbounded tails by closed-form certificates on the symbolic tail
-atoms. Probes only ask whether a widening certifies; where a direction has no
-certificate, the q_max check scans past the horizon for a re-checkable window
-and raises UnsupportedTailError, rather than guessing, when none turns up.
+atoms. Probes only ask whether a widening certifies. Where a certificate
+holds from a depth (identical tail generators, or one same-family span on
+each side), a probe scans only up to that depth, often the last explicit
+bucket plus the widening; otherwise it scans to a fixed horizon past it.
+A direction the q_max check does not certify is located as before: scanned
+to the horizon, and, without a certificate, past it for a re-checkable
+window, raising UnsupportedTailError, rather than guessing, when none turns
+up.
 """
 
 from __future__ import annotations
@@ -50,10 +55,15 @@ from .tails import (
     pow_delta,
     ratio_root_lower,
     sparse_rule_count_range,
+    term_cmp,
     term_value,
 )
 
-_SCAN_SLACK = 160  # extra buckets scanned past the last structural feature
+# Buckets _locate scans past h_from (the last structural feature plus the
+# widening); the bounded-density certificate and the deepest rung of the span
+# bounds are set from that horizon, and probes whose certificate holds from a
+# depth do not reach it.
+_SCAN_SLACK = 160
 
 
 @dataclass(frozen=True)
@@ -146,10 +156,10 @@ class _Side:
     def grown_count(self, lo: int, hi: int) -> Optional[int]:
         """Finite count in buckets [lo, hi], or None when the array does not
         reach hi yet; unlike ``cum_range`` it never grows the array."""
-        if hi - self.base >= len(self.cum):
+        cum, top, below = self.cum, hi - self.base, lo - 1 - self.base
+        if top >= len(cum):
             return None
-        below, top = self.cum_range(lo - 1, lo - 1), self.cum_range(hi, hi)
-        return top[0] - below[0]
+        return (cum[top] if top >= 0 else 0) - (cum[below] if below >= 0 else 0)
 
     def aleph_at_or_reaching(self, lo: int, hi: int) -> Optional[int]:
         """Highest infinite level present in buckets [lo, hi], if any."""
@@ -248,35 +258,43 @@ def _scan_segment(
 # ---------------------------------------------------------------------------
 # Eventual-domination bounds for single sequence-span tails
 #
-# _span_dom(x, y, q, delta, h_from, offset) certifies
+# _span_depth(x, y, q, delta, h_lo, h_top, offset), for h_lo <= h_top, returns
+# the least depth h0 in [h_lo, h_top] whose envelope bound certifies
 #     y.count_ge(delta^(h+q+1)) - x.count_ge(delta^(h+1)) >= offset
-# for EVERY h >= h_from, by sandwiching the exact floor counts between
-# continuous envelopes whose gap is nondecreasing in h. All coefficients are
-# exact rationals; count evaluations are exact integers.
+# for EVERY h >= h0, by sandwiching the exact floor counts between continuous
+# envelopes whose gap is nondecreasing in h. All coefficients are exact
+# rationals; count evaluations are exact integers.
 #
-# The bound is tried at one depth, h0 = h_from + 47 * max(4, q), the deepest
-# of the depths h_from + t * max(4, q), t = 0..47. That gives the same answer
-# as trying every one of them because both counts only grow with h0 and each
-# family's bound_ok depends on nx (x's count at h0) alone and is
-# nondecreasing in it: its slope, eps for power spans and ay - ax for
-# geometric and factorial spans, is checked >= 0 before any count is made.
-# A family added here must keep that property.
+# The bound is monotone in h0, so after h_lo and h_top one galloping search
+# between them finds that depth, with one count per depth tried: both counts
+# only grow with h0 (y's is positive once its first term clears the
+# threshold), and each family's bound_ok depends on nx (x's count at h0)
+# alone and is nondecreasing in it: its slope, eps for power spans and
+# ay - ax for geometric and factorial spans, is checked >= 0 before any count
+# is made. A family added here must keep that property.
+#
+# _span_dom(x, y, q, delta, h_from, offset) is the bound at the one depth
+# h_from + 47 * max(4, q), the deepest rung, where _tail_certificate reads it.
 
 
-def _span_dom(
-    x: SeqSpan, y: SeqSpan, q: int, delta: Fraction, h_from: int, offset: int
-) -> bool:
+def _span_depth(
+    x: SeqSpan, y: SeqSpan, q: int, delta: Fraction, h_lo: int, h_top: int, offset: int
+) -> Optional[int]:
     mx, my = x.model, y.model
     sx, sy = x.start, y.start
     ax, ay = x.mult, y.mult
     c0 = ay * sy - ax * sx + ax  # floor/start correction, same in every family
 
-    def at_depth(bound_ok) -> bool:
-        h0 = h_from + 47 * max(4, q)
-        nx = x.count_ge(pow_delta(delta, h0 + 1)) // ax
-        if nx < 1 or y.count_ge(pow_delta(delta, h0 + q + 1)) < 1:
-            return False
-        return bound_ok(nx)
+    def least_depth(bound_ok) -> Optional[int]:
+        def holds(h0: int) -> bool:
+            nx = x.count_ge(pow_delta(delta, h0 + 1)) // ax
+            # y's count is positive once its first term clears the threshold.
+            has_y = term_cmp(y.model, sy, pow_delta(delta, h0 + q + 1)) >= 0
+            return nx >= 1 and has_y and bound_ok(nx)
+
+        if holds(h_lo):
+            return h_lo
+        return least_true(holds, h_lo, h_top) if holds(h_top) else None
 
     if isinstance(mx, PowerSeq) and isinstance(my, PowerSeq) and mx.p == my.p:
         p = mx.p
@@ -284,7 +302,7 @@ def _span_dom(
         rho_lo = ratio_root_lower(big_r**p.denominator, p.numerator)
         eps = ay * rho_lo - ax
         if eps <= 0:
-            return False
+            return None
 
         # gap(h) >= A(h) * (ay*rho - ax) - c0 with A the continuous index
         # envelope of x and rho the constant y/x envelope ratio; A only grows.
@@ -292,11 +310,11 @@ def _span_dom(
             a_env = Fraction(nx + sx - 1)
             return a_env * eps - c0 >= offset
 
-        return at_depth(ok)
+        return least_depth(ok)
 
     if isinstance(mx, GeometricSeq) and isinstance(my, GeometricSeq) and mx.r == my.r:
         if ay < ax:
-            return False
+            return None
         big_r = (Fraction(my.c) / Fraction(mx.c)) * pow_delta(delta, -q)
         x_lo = _floor_log(big_r, 1 / mx.r)
 
@@ -306,11 +324,11 @@ def _span_dom(
             y_env = nx + sx - 1
             return (ay - ax) * y_env + ay * x_lo - c0 >= offset
 
-        return at_depth(ok)
+        return least_depth(ok)
 
     if isinstance(mx, FactorialSeq) and isinstance(my, FactorialSeq):
         if ay < ax:
-            return False
+            return None
 
         # Both counts track the same n*(h) = max{n : 1/n! >= threshold}; the
         # y threshold is deeper, so y's index is at least x's.
@@ -318,21 +336,29 @@ def _span_dom(
             n_star = nx + sx - 1
             return ay * (n_star - sy + 1) - ax * (n_star - sx + 1) >= offset
 
-        return at_depth(ok)
+        return least_depth(ok)
 
-    return False
+    return None
+
+
+def _span_dom(
+    x: SeqSpan, y: SeqSpan, q: int, delta: Fraction, h_from: int, offset: int
+) -> bool:
+    h0 = h_from + 47 * max(4, q)
+    return _span_depth(x, y, q, delta, h0, h0, offset) is not None
 
 
 # ---------------------------------------------------------------------------
 # Tail certificates for the unbounded region
 #
-# After the finite scan has cleared everything up to h_scan, a violating
-# window [k, h] with h > h_scan must satisfy U(h) > V(k-1) with k-1 either
+# After the finite scan has cleared everything up to a depth, a violating
+# window [k, h] with h past it must satisfy U(h) > V(k-1) with k-1 either
 # inside the last scanned segment (whose V-minimum v_last is known) or beyond
 # the scan; windows spanning a cut position are settled by infinite-
-# bucket absorption. The certificates establish a bound D with U(h) <= D for
-# all h > h_scan and V(m) >= D for all m > h_scan, which together with
-# v_last >= D rules every such window out.
+# bucket absorption. The certificates establish a bound D with U(h) <= D and
+# V(m) >= D for all h, m past the depth, which together with v_last >= D rules
+# every such window out. _tail_depth gives the least such depth, when it can;
+# _tail_certificate takes the scan horizon as the depth.
 
 
 def _ray_like(atom) -> tuple:
@@ -384,16 +410,13 @@ def _tail_certificate(
     # Single same-family sequence spans: exact envelope analytics, with the
     # explicit masses folded in as constant offsets.
     sa, sb = a.spans, b.spans
-    if len(a.finite_atoms) == len(b.finite_atoms) == len(sa) == len(sb) == 1:
+    if _single_spans(a, b):
         off_fwd = a.explicit_total - b.explicit_total
         fwd = _span_dom(sa[0], sb[0], q, a.delta, h_scan, off_fwd)
         rev = _span_dom(sb[0], sa[0], q, a.delta, h_scan - q, -off_fwd)
         if fwd and rev and v_last >= 0:
             return None
-        return (
-            "no eventual-domination certificate for tail pair "
-            f"{type(sa[0].model).__name__} vs {type(sb[0].model).__name__}"
-        )
+        return _span_note(a, b)
     # Bounded per-bucket density of a against constant densities of b: split
     # any deep window at h_scan — the scanned part is dominated, and each
     # extra bucket of a (at most cap) is paid by one extra bucket of b. A
@@ -408,6 +431,40 @@ def _tail_certificate(
             return None
         return "bounded tail density without a dominating coverage bound"
     return "unsupported tail atom combination"
+
+
+def _single_spans(a: _Side, b: _Side) -> bool:
+    """Whether each side's only tail atom is a sequence span."""
+    return len(a.finite_atoms) == len(b.finite_atoms) == len(a.spans) == len(b.spans) == 1
+
+
+def _span_note(a: _Side, b: _Side) -> str:
+    x, y = a.spans[0].model, b.spans[0].model
+    return f"no eventual-domination certificate for tail pair {type(x).__name__} vs {type(y).__name__}"
+
+
+def _tail_depth(a: _Side, b: _Side, q: int, h_from: int) -> Union[None, str, tuple[int, int]]:
+    """(depth, D): U(h) <= D and V(m) >= D for all h, m > depth, with the
+    depth at most the scan horizon. A note when the span pair's bound fails
+    even at its deepest rung, and None when neither certificate of a depth
+    applies or its depth lies past the horizon. Every explicit bucket is
+    counted past h_from."""
+    off = a.explicit_total - b.explicit_total
+    if a.generator_key == b.generator_key:
+        return h_from, off  # see _tail_certificate
+    if not _single_spans(a, b):
+        return None
+    # U(h) <= 0 for h >= fwd, and V(m) >= 0 for m - q >= rev; the deepest
+    # rungs are _tail_certificate's.
+    h_scan = _horizon(a, b, q)
+    x, y, reach = a.spans[0], b.spans[0], 47 * max(4, q)
+    fwd = _span_depth(x, y, q, a.delta, h_from, h_scan + reach, off)
+    if fwd is not None:
+        rev = _span_depth(y, x, q, a.delta, h_from - q, h_scan - q + reach, -off)
+        if rev is not None:
+            depth = max(fwd, rev + q) + 1
+            return (depth, 0) if depth <= h_scan else None
+    return _span_note(a, b)
 
 
 def _analytic_violation(
@@ -449,22 +506,30 @@ def _sparse_depth(a: _Side, b: _Side, q: int) -> int:
     return deep
 
 
+def _structural_horizon(a: _Side, b: _Side, q: int) -> int:
+    """h_from: past it, and q buckets below it, every explicit bucket and every
+    feature's first bucket lies behind."""
+    return max(a.structural + b.structural, default=0) + q + 2
+
+
 def _horizon(a: _Side, b: _Side, q: int) -> int:
-    """The last bucket the segment scans reach; past it the certificates rule."""
-    h_scan = max(a.structural + b.structural) + q + 2 + _SCAN_SLACK
+    """The last bucket _locate's segment scans reach; past it the certificates
+    rule. It runs _SCAN_SLACK buckets past h_from, or to where sparse tails'
+    cluster gaps exceed the widening."""
+    h_scan = _structural_horizon(a, b, q) + _SCAN_SLACK
     if any(k == "sparse" for k, _ in a.densities + b.densities):
         h_scan = max(h_scan, _sparse_depth(a, b, q) + 2 * q + 8)
     return h_scan
 
 
-def _check_direction(
-    a: _Side, b: _Side, q: int, k_min: Optional[int]
-) -> Union[None, tuple[int, int], str]:
-    """None = dominated; (k, l) = violating window of a found by the scans;
-    str = no certificate covers a's tail past the scan horizon."""
+def _scan_to(
+    a: _Side, b: _Side, q: int, k_min: Optional[int], h_end: int
+) -> tuple[Optional[tuple[int, int]], int]:
+    """(first violating window of a, last segment's V-minimum) over the
+    windows not settled by infinite buckets that end at or below h_end."""
     hit = _aleph_coverage(a, b, q, k_min)
     if hit is not None:
-        return hit
+        return hit, 0
 
     hi_cap = None  # beyond this, windows are settled by infinite rays
     if a.aleph_ray_start is not None:
@@ -475,13 +540,12 @@ def _check_direction(
 
     structural = a.structural + b.structural
     if not structural:
-        return None
+        return None, 0
     lo = min(structural) - q - 2
     if k_min is not None:
         lo = max(lo, k_min)
-    h_scan = _horizon(a, b, q)
-    # Ray starts are structural, so hi_cap (when set) lies below h_scan.
-    top = h_scan if hi_cap is None else min(h_scan, hi_cap)
+    # Ray starts are structural, so hi_cap (when set) lies below h_from.
+    top = h_end if hi_cap is None else min(h_end, hi_cap)
 
     # Segments are the runs of [lo, top] outside the cut intervals: a's
     # infinite buckets and the reach [j - q, j + q] of each of b's.
@@ -498,12 +562,55 @@ def _check_direction(
     for seg_lo, seg_hi in segments:
         got, v_min = _scan_segment(a, b, q, seg_lo, seg_hi, k_min)
         if got is not None:
-            return got
+            return got, 0
         v_last = v_min
+    return None, v_last
 
-    if hi_cap is not None or not a.finite_atoms:
-        return None
+
+def _untailed(a: _Side, b: _Side) -> bool:
+    """Whether no window of a past h_from needs a tail certificate: an
+    infinite ray settles every window past its reach, or a's count stops
+    growing at its last explicit bucket. In the second case U only falls
+    past h_from, so a window [k, h] with k <= h_from < h fails only if
+    [k, h_from] does, and one with k > h_from never fails (U(h) <= V(k-1))."""
+    return a.aleph_ray_start is not None or b.aleph_ray_start is not None or not a.finite_atoms
+
+
+def _locate(
+    a: _Side, b: _Side, q: int, k_min: Optional[int]
+) -> Union[None, tuple[int, int], str]:
+    """The check a refusal reports from: None = dominated; (k, l) = the first
+    violating window of a up to the scan horizon; str = no certificate covers
+    a's tail past that horizon."""
+    h_scan = _horizon(a, b, q)
+    hit, v_last = _scan_to(a, b, q, k_min, h_scan)
+    if hit is not None or _untailed(a, b):
+        return hit
     return _tail_certificate(a, b, q, h_scan, k_min, v_last)
+
+
+def _check_direction(
+    a: _Side, b: _Side, q: int, k_min: Optional[int]
+) -> Union[None, tuple[int, int], str]:
+    """None exactly when _locate answers None, found with a scan that stops
+    where a certificate of a depth holds; otherwise a window found on the way
+    or a note. Where no such certificate applies, or it holds only past the
+    scan horizon, this is _locate."""
+    h_from = _structural_horizon(a, b, q)
+    if _untailed(a, b):
+        return _scan_to(a, b, q, k_min, h_from)[0]
+    cert = _tail_depth(a, b, q, h_from)
+    if cert is None:
+        return _locate(a, b, q, k_min)
+    if isinstance(cert, str):
+        return cert
+    depth, bound = cert
+    hit, v_last = _scan_to(a, b, q, k_min, depth)
+    if hit is not None:
+        return hit
+    if (k_min is not None and k_min > depth) or v_last >= bound:
+        return None
+    return "the scan's V-minimum lies below the tail bound"
 
 
 # ---------------------------------------------------------------------------
@@ -560,10 +667,15 @@ def _certified(sa: _Side, sb: _Side, q: int, k_min: Optional[int]) -> bool:
 
 
 def _outcome_at(sa: _Side, sb: _Side, q: int, k_min: Optional[int]) -> ConditionOutcome:
-    """The full outcome at widening q. A direction without a certificate looks
-    past the scan horizon; the first window found wins, else the first note."""
+    """The full outcome at widening q. A direction the probe does not certify
+    is located: its scan up to the horizon, and past the horizon a stretch
+    when no certificate applies; the first window found wins, else the first
+    note."""
     notes = []
     for side, a, b, got in _check_both(sa, sb, q, k_min):
+        if got is None:
+            continue
+        got = _locate(a, b, q, k_min)
         if isinstance(got, str):
             notes.append(got)
             got = _analytic_violation(a, b, q, k_min)

@@ -10,6 +10,7 @@ from opequiv.cardinal import (
     ONE,
     ZERO,
     as_cardinal,
+    canonical_int,
     card_add,
     card_from_json,
     card_le,
@@ -107,3 +108,18 @@ def test_json_forms():
     assert card_from_json("aleph2") == Aleph(2)
     assert is_finite(card_from_json(3))
     assert not is_finite(card_from_json("aleph0"))
+
+
+@pytest.mark.parametrize("text", ["aleph\u00b2", "aleph01", "aleph 0", "aleph+1", "aleph-0", "aleph1_0", "aleph"])
+def test_aleph_levels_are_canonical_integers(text):
+    with pytest.raises(ValueError, match="not a cardinal"):
+        card_from_json(text)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("0", 0), ("-7", -7), ("120", 120), ("01", None), ("-0", None), ("+1", None), (" 2", None),
+     ("2 ", None), ("1_0", None), ("\u0663", None), ("", None), ("x", None)],
+)
+def test_canonical_int(text, value):
+    assert canonical_int(text) == value

@@ -10,11 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opequiv import (
+    ALEPH0,
+    Aleph,
     Buckets,
     CompactDiagonal,
     DeltaRangeError,
     DirectSum,
     EngineParams,
+    Finite,
     FiniteMatrix,
     ScaledIdentity,
     SchemaError,
@@ -146,6 +149,35 @@ def test_schema_errors_name_their_pointer_and_message(document, message):
     with pytest.raises(SchemaError) as info:
         parse_spec(document)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "buckets, key",
+    [
+        ({"1": 3, "01": 2}, "01"),  # int() reads both as 1, and the 3 was lost
+        ({" 2": 1}, " 2"),
+        ({"1_0": 1}, "1_0"),
+        ({"\u0663": 1}, "\u0663"),  # Arabic-Indic three
+        ({"+1": 1}, "+1"),
+        ({"-0": 1}, "-0"),
+    ],
+)
+def test_bucket_keys_must_be_canonical_integers(buckets, key):
+    with pytest.raises(SchemaError) as info:
+        parse_spec(doc(buckets_with(buckets=buckets), UNIT))
+    assert str(info.value) == f"/T/buckets/{key}: bucket index {key!r} is not an integer in canonical form"
+
+
+@pytest.mark.parametrize("count", ["aleph\u00b2", "aleph01", "aleph 1", "aleph+0", "aleph-0", "aleph"])
+def test_aleph_levels_must_be_canonical_integers(count):
+    with pytest.raises(SchemaError) as info:
+        parse_spec(doc(buckets_with(buckets={"0": count}), UNIT))
+    assert str(info.value) == f"/T/buckets/0: not a cardinal: {count!r}"
+
+
+def test_canonical_bucket_keys_and_levels_parse():
+    parsed = parse_spec(doc(buckets_with(buckets={"-12": "aleph1", "0": 2, "10": "aleph0"}), UNIT))
+    assert parsed.t.measure.buckets == {-12: Aleph(1), 0: Finite(2), 10: ALEPH0}
 
 
 def test_float_tolerance_option_is_accepted():
@@ -666,7 +698,10 @@ def test_main_rejects_a_negative_svd_tol_flag(tmp_path, capsys):
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 REPLAYED = sorted(
-    p for d in ("matrix", "tail-certify") for p in (FIXTURES / d).glob("*.json") if p.name != "expected.json"
+    p
+    for d in ("matrix", "tail-certify", "window-scan")
+    for p in (FIXTURES / d).glob("*.json")
+    if p.name != "expected.json"
 )
 
 
@@ -676,7 +711,9 @@ def test_matrix_documents_replay_byte_for_byte(path, capsys):
     # of `opequiv decide --input NAME.json`, recorded before a rewrite of the
     # layer the documents exercise: matrix/ before matrices were parsed in
     # bulk, tail-certify/ (the benchmark's seed-101 tail-certify round)
-    # before the stretch past the scan horizon left the (q, N) probes.
+    # before the stretch past the scan horizon left the (q, N) probes, and
+    # window-scan/ (its seed-101 window-scan round) before the probes'
+    # scans stopped at the depth their tail certificate holds from.
     expected = json.loads((path.parent / "expected.json").read_text(encoding="utf-8"))[path.stem]
     code = main(["decide", "--input", str(path)])
     out = capsys.readouterr()

@@ -1,5 +1,6 @@
 """Tests for the window-domination conditions on bucket measures."""
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import accumulate, islice
@@ -794,6 +795,13 @@ def test_segment_scan_reaches_both_edges_of_the_widening(b_bucket, expected):
 
 def span_dom_ladder(x, y, q, delta, h_from, offset):
     """_span_dom's bound tried at each of the 48 depths h_from + t * max(4, q)."""
+    rungs = range(h_from, h_from + 48 * max(4, q), max(4, q))
+    return first_holding_rung(x, y, q, delta, rungs, offset) is not None
+
+
+def first_holding_rung(x, y, q, delta, rungs, offset):
+    """The first of the depths ``rungs`` at which the envelope bound holds,
+    with both counts made there, or None."""
     mx, my = x.model, y.model
     sx, sy = x.start, y.start
     ax, ay = x.mult, y.mult
@@ -806,15 +814,13 @@ def span_dom_ladder(x, y, q, delta, h_from, offset):
         return y.count_ge(pow_delta(delta, h0 + q + 1)) // ay
 
     def ladder(bound_ok):
-        stride = max(4, q)
-        for t in range(48):
-            h0 = h_from + t * stride
+        for h0 in rungs:
             nx = count_x(h0)
             if nx < 1 or count_y(h0) < 1:
                 continue
             if bound_ok(h0, nx):
-                return True
-        return False
+                return h0
+        return None
 
     if isinstance(mx, PowerSeq) and isinstance(my, PowerSeq) and mx.p == my.p:
         p = mx.p
@@ -822,19 +828,19 @@ def span_dom_ladder(x, y, q, delta, h_from, offset):
         rho_lo = ratio_root_lower(big_r**p.denominator, p.numerator)
         eps = ay * rho_lo - ax
         if eps <= 0:
-            return False
+            return None
         return ladder(lambda h0, nx: F(nx + sx - 1) * eps - c0 >= offset)
 
     if isinstance(mx, GeometricSeq) and isinstance(my, GeometricSeq) and mx.r == my.r:
         if ay < ax:
-            return False
+            return None
         big_r = (F(my.c) / F(mx.c)) * pow_delta(delta, -q)
         x_lo = _floor_log(big_r, 1 / mx.r)
         return ladder(lambda h0, nx: (ay - ax) * (nx + sx - 1) + ay * x_lo - c0 >= offset)
 
     if isinstance(mx, FactorialSeq) and isinstance(my, FactorialSeq):
         if ay < ax:
-            return False
+            return None
 
         def ok(h0, nx):
             n_star = nx + sx - 1
@@ -842,7 +848,7 @@ def span_dom_ladder(x, y, q, delta, h_from, offset):
 
         return ladder(ok)
 
-    return False
+    return None
 
 
 span_consts = st.sampled_from([F(1, 8), F(1, 3), F(1), F(2), F(3), F(7, 2), F(100)])
@@ -943,6 +949,51 @@ def test_span_dom_counts_at_most_twice(monkeypatch):
             calls.clear()
             conditions._span_dom(x, y, 4, HALF, 0, offset)
             assert len(calls) <= 2
+
+
+@given(
+    span_dom_pairs(),
+    st.integers(1, 64),
+    st.sampled_from([F(1, 2), F(2, 3), F(1, 10)]),
+    st.integers(-40, 60),
+    st.integers(0, 120),
+    st.integers(-300, 300),
+)
+@settings(max_examples=150, deadline=None)
+def test_span_depth_is_the_first_rung_that_holds(pair, q, delta, h_lo, width, offset):
+    x, y = pair
+    h_top = h_lo + width
+    for u, v, off in ((x, y, offset), (y, x, -offset)):
+        expected = first_holding_rung(u, v, q, delta, range(h_lo, h_top + 1), off)
+        assert conditions._span_depth(u, v, q, delta, h_lo, h_top, off) == expected
+
+
+@pytest.mark.parametrize("h_lo", [-40, 0, 1, 90, 187, 188])
+def test_span_depth_counts_once_per_halving(monkeypatch, h_lo):
+    # One count per depth tried: h_lo, the deepest rung, then a galloping
+    # search between them, so at most 2 * (ceil(log2(h_top - h_lo + 2)) + 1).
+    h_top = 47 * 4
+    limit = 2 * ((h_top - h_lo + 1).bit_length() + 1)
+    depths = range(h_lo, h_top + 1)
+    calls = []
+    real = tails.count_ge
+
+    def counting(model, start, t):
+        calls.append(t)
+        return real(model, start, t)
+
+    for d in [*range(max(h_lo, 0), h_top, 23), h_top]:
+        # Each pair's largest offset certified at depth d, one more, and none.
+        for x, y, bound in deepest_rung_bounds(4, d - h_top):
+            for offset in (bound, bound + 1, -(10**6)):
+                expected = first_holding_rung(x, y, 4, HALF, depths, offset)
+                calls.clear()
+                with monkeypatch.context() as mp:
+                    mp.setattr(tails, "count_ge", counting)
+                    got = conditions._span_depth(x, y, 4, HALF, h_lo, h_top, offset)
+                assert got == expected and len(calls) <= limit
+                if offset == bound:
+                    assert got is not None and got <= d
 
 
 def test_left_violation_skips_the_right_direction(monkeypatch):
@@ -1073,7 +1124,7 @@ def shared_generator_pairs(draw):
 @settings(max_examples=40, deadline=None)
 def test_identical_generators_certify_from_the_scan_minimum(pair, q, k_min):
     a, b = pair
-    starts, horizons = [], []
+    starts = []
     scan, certify = conditions._scan_segment, conditions._tail_certificate
 
     def recording_scan(x, y, q, seg_lo, seg_hi, k_min):
@@ -1086,16 +1137,17 @@ def test_identical_generators_certify_from_the_scan_minimum(pair, q, k_min):
         seg_lo = starts[-1] if k_min is None or k_min <= h_scan else k_min
         # Whatever the remainder scan certified, the scan minimum certifies.
         assert got is None or not remainder_certifies(x, y, q, seg_lo, k_min)
-        horizons.append(h_scan)
         return got
 
+    sa, sb = conditions._prepare(a, b)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conditions, "_scan_segment", recording_scan)
         mp.setattr(conditions, "_tail_certificate", compared_certificate)
-        out = conditions._outcome_at(*conditions._prepare(a, b), q, k_min)
-    if out.present and horizons:
+        out = conditions._outcome_at(sa, sb, q, k_min)
+    if out.present:
+        # The probes scanned only to h_from; recount well past the horizon.
         lo = min([0, *a.buckets, *b.buckets, *(x.first_bucket(HALF) for x in a.atoms)]) - q - 2
-        h_top = max(horizons) + 60
+        h_top = conditions._horizon(sa, sb, q) + 60
         assert dominated(a, b, q, lo, h_top, h_top - lo + 1, k_min, h_max=h_top)
 
 
@@ -1112,6 +1164,124 @@ def test_cutoff_past_the_scan_horizon_leaves_no_window_for_the_remainder():
     assert conditions._outcome_at(sa, sb, 1, 64).present
     out = condition_s_tilde_outcome(t, s)
     assert (out.q_used, out.n_cutoff) == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# Probes that stop at a certificate's depth against the located check
+
+
+@st.composite
+def depth_certificate_cases(draw):
+    """(T, S, q) whose tails take a certificate of a depth: the same one or
+    two atoms of any kind on both sides; one same-family span on each side,
+    each with its own constant, start and multiplicity; or spans 1/n against
+    (1 + tiny)/(2^q n), from a later start, whose bound first holds deep. Or
+    one side has no tail. Each side has 0-4 explicit buckets and maybe
+    aleph0 at -1; q is 1..8."""
+    q = draw(st.integers(1, 8))
+
+    def side(atoms):
+        buckets = draw(st.dictionaries(st.integers(-4, 14), st.integers(1, 3).map(Finite), max_size=4))
+        if draw(st.booleans()):
+            buckets[-1] = ALEPH0
+        return meas(buckets, tuple(atoms))
+
+    def span(model, starts, mult=None):
+        return [SeqRay(SeqSpan(model, draw(starts), mult or draw(st.integers(1, 3))))]
+
+    kind = draw(st.sampled_from(["identical", "spans", "deep spans", "one tail"]))
+    if kind == "spans":
+        family = draw(st.sampled_from(["power", "geometric", "factorial"]))
+        if family == "power":
+            p = draw(st.sampled_from([F(1), F(5, 2), F(3)]))
+            models = [PowerSeq(draw(span_consts), p) for _ in range(2)]
+        elif family == "geometric":
+            r = draw(st.sampled_from([F(1, 3), F(3, 5), F(9, 10)]))
+            models = [GeometricSeq(draw(span_consts), r) for _ in range(2)]
+        else:
+            models = [FactorialSeq()] * 2
+        t_atoms, s_atoms = (span(m, st.integers(1, 20)) for m in models)
+    elif kind == "deep spans":
+        # With one multiplicity, eps = 2^-e in the power bound, exact at
+        # p = 1, so the bound first holds about e buckets deep.
+        c = draw(span_consts)
+        tiny = F(1, 2 ** draw(st.integers(60, 420)))
+        mult = draw(st.integers(1, 3))
+        t_atoms = span(PowerSeq(c, F(1)), st.integers(1, 5), mult)
+        s_atoms = span(PowerSeq(c * (1 + tiny) / 2**q, F(1)), st.integers(10, 20), mult)
+    else:
+        t_atoms = draw(st.lists(shared_atoms, min_size=1, max_size=2))
+        s_atoms = t_atoms if kind == "identical" else []
+    t, s = side(t_atoms), side(s_atoms)
+    return (t, s, q) if draw(st.booleans()) else (s, t, q)
+
+
+def probe_branch(a, b, q):
+    """Which way _check_direction answers for a against b at q."""
+    if conditions._untailed(a, b):
+        return "untailed"
+    cert = conditions._tail_depth(a, b, q, conditions._structural_horizon(a, b, q))
+    if cert is None:
+        return "past the horizon" if conditions._single_spans(a, b) else "located"
+    return "no certificate" if isinstance(cert, str) else "short"
+
+
+def test_probe_certifies_exactly_when_the_located_check_does():
+    branches = Counter()
+
+    @given(depth_certificate_cases())
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def check(case):
+        t, s, q = case
+        sa, sb = conditions._prepare(t, s)
+        for a, b in ((sa, sb), (sb, sa)):
+            branches[probe_branch(a, b, q)] += 1
+            for k_min in (None, 0, 3, 10, 40):
+                probe = conditions._check_direction(a, b, q, k_min)
+                assert (probe is None) == (conditions._locate(a, b, q, k_min) is None)
+
+    check()
+    checked = sum(branches.values())
+    for branch in ("short", "no certificate", "past the horizon", "untailed", "located"):
+        assert branches[branch] >= checked // 25, branches
+
+
+def certifying_sides(monkeypatch, t, s, q_max):
+    """The two sides of a condition_s_outcome that certifies at q_max."""
+    sides = []
+    prepare = conditions._prepare
+    monkeypatch.setattr(conditions, "_prepare", lambda a, b: sides.extend(prepare(a, b)) or sides)
+    assert condition_s_outcome(t, s, q_max).present
+    return sides
+
+
+@pytest.mark.parametrize("q_max", [32, 40, 48])
+def test_certified_shifted_block_counts_stop_past_the_last_explicit_bucket(monkeypatch, q_max):
+    # The window-scan benchmark's shifted block (see test_shifted_block_needs_two_widenings):
+    # identical generators hold from h_from, so no count past it plus q is made.
+    block = [3, 1, 6, 2, 5, 5, 1, 4, 2, 6, 3, 1, 2, 4, 6, 1]
+    k0, shift = q_max + 6, q_max - 1
+    ray = (GeometricRay(k0 + shift + len(block) + q_max + 8, 2),)
+
+    def side(at):
+        return meas({-1: ALEPH0, **{at + i: Finite(c) for i, c in enumerate(block)}}, ray)
+
+    sides = certifying_sides(monkeypatch, side(k0), side(k0 + shift), q_max)
+    last = max(sides[0].structural + sides[1].structural)
+    assert all(x.base + len(x.cum) - 1 < last + 2 * q_max + 4 for x in sides)
+
+
+def test_certified_factorial_prefix_counts_stop_past_the_last_explicit_bucket(monkeypatch):
+    # The tail-certify benchmark's factorial-prefix pair: 1/n! against the
+    # same tail after one value 1, at q_max = 16. Its span certificate holds
+    # from h_from, where the scan horizon for factorial tails lies near 650.
+    diagonal = CompactDiagonal((F(1),), FactorialSeq())
+    t = aleph_plus_diagonals(FactorialSeq())
+    s = modulus_data(DirectSum(ScaledIdentity(F(1), ALEPH0), diagonal), HALF)
+    sides = certifying_sides(monkeypatch, t, s, 16)
+    last = max(sides[0].structural + sides[1].structural)
+    assert conditions._horizon(*sides, 16) > 600
+    assert all(x.base + len(x.cum) - 1 < last + 2 * 16 + 4 for x in sides)
 
 
 # ---------------------------------------------------------------------------
