@@ -103,6 +103,13 @@ def _obj(node, path: str, required: tuple, optional: tuple = ()) -> dict:
     return node
 
 
+# A strict rational: an integer or "p/q" string of ASCII digits, no sign but
+# a leading minus, no spaces or underscores, and a denominator that starts
+# with 1-9. int() parses these exactly as Fraction(str) would.
+_RATIONAL = r"-?[0-9]+(?:/[1-9][0-9]*)?"
+_STRICT_RATIONAL = re.compile(_RATIONAL)
+
+
 def _frac(node, path: str) -> Fraction:
     if isinstance(node, Fraction):  # internal defaults; JSON never produces these
         return node
@@ -112,6 +119,12 @@ def _frac(node, path: str) -> Fraction:
         _fail(path, "floating-point numbers are not exact here; use a 'p/q' string")
     if not isinstance(node, (int, str)):
         _fail(path, f"expected an integer or a 'p/q' string, got {type(node).__name__}")
+    if isinstance(node, str) and _STRICT_RATIONAL.fullmatch(node):
+        p, _, q = node.partition("/")
+        try:
+            return Fraction(int(p), int(q or 1))
+        except ValueError:  # beyond int()'s digit limit: Fraction(node) reports it
+            pass
     try:
         return Fraction(node)
     except (ValueError, ZeroDivisionError) as e:
@@ -259,10 +272,8 @@ def _matrix_entry(node, path: str) -> complex:
 
 
 _NUMBERS = {int, float}
-# A row of strict "p/q" or integer strings, joined by single spaces: ASCII
-# digits, no sign but a leading minus, no spaces or underscores, and a
-# denominator that starts with 1-9. Rows of these skip Fraction.
-_STRICT_ROW = re.compile(r"-?[0-9]+(?:/[1-9][0-9]*)?(?: -?[0-9]+(?:/[1-9][0-9]*)?)*")
+# A row of strict rationals joined by single spaces skips Fraction.
+_STRICT_ROW = re.compile(f"{_RATIONAL}(?: {_RATIONAL})*")
 
 
 def _fast_row(row: list, out: np.ndarray) -> bool:
@@ -337,11 +348,14 @@ def _parse_operator(node, path: str) -> tuple[OperatorSpec, Optional[tuple]]:
         if not isinstance(prefix, list):
             _fail(f"{path}/prefix", "expected an array of rationals")
         values = [_frac(v, f"{path}/prefix/{i}") for i, v in enumerate(prefix)]
+        pn, pd = 1, 0  # the previous value; none yet, so above every value
         for i, v in enumerate(values):
-            if v <= 0:
+            vn, vd = v.numerator, v.denominator
+            if vn <= 0:
                 _fail(f"{path}/prefix/{i}", "singular values must be positive")
-            if i and v > values[i - 1]:
+            if vn * pd > pn * vd:
                 _fail(f"{path}/prefix/{i}", "prefix must be nonincreasing")
+            pn, pd = vn, vd
         tail = _tail_model(obj["tail"], f"{path}/tail") if "tail" in obj else ZeroTail()
         try:
             spec = CompactDiagonal(

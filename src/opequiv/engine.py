@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Union
 
 from .cardinal import Aleph, Cardinal, Finite, card_lt, is_finite
@@ -148,7 +149,7 @@ def _normalize(inv: ValueInventory, prefix_check: int) -> _Seq:
             "value comparison supports at most one symbolic tail per operand"
         )
     span = inv.spans[0] if inv.spans else None
-    values = sorted(inv.values, reverse=True)
+    values = list(inv.values)  # nonincreasing already
     pulled = 0
     while span is not None and values:
         head = span.first_term_value()
@@ -198,11 +199,39 @@ def _bounds_at(seq: _Seq, n: int) -> tuple[Fraction, Fraction]:
     return m.c / hi, m.c / lo
 
 
-def _pair_piece(t_bounds, s_bounds) -> Fraction:
-    """Lower bound of min(r, 1/r) for the ratio r = t/s."""
-    tlo, thi = t_bounds
-    slo, shi = s_bounds
-    return min(tlo / shi, slo / thi)
+def _least_ratio(pairs) -> tuple[int, int]:
+    """min(1, x/y, y/x) over pairs (x, y) of positive rationals, as an
+    integer pair (numerator, denominator).
+
+    Candidates are compared by cross-multiplication, so no Fraction is built
+    per pair.
+    """
+    bn = bd = 1
+    for x, y in pairs:
+        a = x.numerator * y.denominator
+        b = y.numerator * x.denominator
+        if a > b:
+            a, b = b, a
+        if a * bd < bn * b:
+            bn, bd = a, b
+    return bn, bd
+
+
+def _bounded_pairs(t: _Seq, s: _Seq, m: int, lo: int, hi: int):
+    """Pairs for _least_ratio that bound min(r, 1/r), r = t_n / s_{n+m}, from
+    below for every n in lo..hi.
+
+    With tlo <= t_n <= thi and slo <= s_{n+m} <= shi the bound is
+    min(tlo/shi, slo/thi); their reciprocals shi/tlo >= slo/thi and
+    thi/slo >= tlo/shi never undercut it, so the pairs (tlo, shi) and
+    (slo, thi) give it exactly, and one pair suffices for exact values.
+    """
+    for n in range(lo, hi + 1):
+        tlo, thi = _bounds_at(t, n)
+        slo, shi = _bounds_at(s, n + m)
+        yield tlo, shi
+        if tlo is not thi or slo is not shi:  # the same object for an exact value
+            yield slo, thi
 
 
 def _tail_piece(t: _Seq, s: _Seq, m: int, n_pure: int) -> Optional[Fraction]:
@@ -258,19 +287,18 @@ def _shift_envelope(t: _Seq, s: _Seq, m: int) -> Optional[Fraction]:
     if lt is not None and ls - lt != m:
         return None
     n_min = max(1, 1 - m)
+    # Indices n_min..both pair two explicit values; past them (tails only)
+    # at least one value comes from a tail span.
+    both = max(n_min - 1, min(t.head_len, s.head_len - m))
+    pairs = zip(t.values[n_min - 1 : both], s.values[n_min + m - 1 : both + m])
     if lt is not None:
-        hi = lt
-    else:
-        hi = max(t.head_len, s.head_len - m)
-    pieces = [Fraction(1)]
-    for n in range(n_min, hi + 1):
-        pieces.append(_pair_piece(_bounds_at(t, n), _bounds_at(s, n + m)))
-    if lt is None:
-        got = _tail_piece(t, s, m, hi + 1)
-        if got is None:
-            return None
-        pieces.append(got)
-    return min(pieces)
+        return Fraction(*_least_ratio(pairs))
+    hi = max(t.head_len, s.head_len - m)
+    env = Fraction(*_least_ratio(chain(pairs, _bounded_pairs(t, s, m, both + 1, hi))))
+    got = _tail_piece(t, s, m, hi + 1)
+    if got is None:
+        return None
+    return min(env, got)
 
 
 def _family_key(model) -> tuple:
@@ -385,13 +413,9 @@ def _value_pair_witness(
         return None
     if inv_a.spans or inv_b.spans or inv_a.aleph_values or inv_b.aleph_values:
         return None
-    va = sorted(inv_a.values, reverse=True)
-    vb = sorted(inv_b.values, reverse=True)
+    va, vb = inv_a.values, inv_b.values  # nonincreasing
     overlap = min(len(va), len(vb))
-    dp = Fraction(1)
-    for i in range(overlap):
-        r = va[i] / vb[i]
-        dp = min(dp, r, 1 / r)
+    dp = Fraction(*_least_ratio(zip(va, vb)))
     side: Optional[ExtensionSide] = None
     if len(va) < len(vb):
         side = LeftByDim(Finite(len(vb) - len(va)))

@@ -14,7 +14,8 @@ from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from itertools import chain
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -394,11 +395,14 @@ class CompactDiagonal:
     cokernel_dim: Cardinal = ZERO
 
     def __post_init__(self):
-        prefix = tuple(Fraction(v) for v in self.prefix)
+        prefix = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.prefix)
         object.__setattr__(self, "prefix", prefix)
-        if any(v <= 0 for v in prefix):
+        if any(v.numerator <= 0 for v in prefix):
             raise SpecError("diagonal prefix values must be positive")
-        if any(prefix[i] < prefix[i + 1] for i in range(len(prefix) - 1)):
+        if any(
+            u.numerator * v.denominator < v.numerator * u.denominator
+            for u, v in zip(prefix, prefix[1:])
+        ):
             raise SpecError("diagonal prefix must be nonincreasing")
         if prefix and not isinstance(self.tail, ZeroTail):
             # Every prefix entry must dominate the first tail term.
@@ -521,11 +525,29 @@ def _matrix_measure(
     )
 
 
+def _prefix_bucket_counts(prefix: tuple[Fraction, ...], delta: Fraction) -> dict[int, int]:
+    """Bucket counts of a nonincreasing prefix of positive rationals.
+
+    The bucket index never falls along the prefix, so one walk suffices: a
+    value stays in the current bucket j while it is at least the bucket's
+    lower edge delta^(j+1), held as an integer pair (en, ed) and compared by
+    cross-multiplication. bucket_index runs once per occupied bucket.
+    """
+    counts: dict[int, int] = {}
+    j = None
+    en, ed = 1, 0  # no bucket yet: every value lies below this edge
+    for v in prefix:
+        if v.numerator * ed < en * v.denominator:
+            j = bucket_index(v, delta)
+            counts[j] = 0
+            edge = pow_delta(delta, j + 1)
+            en, ed = edge.numerator, edge.denominator
+        counts[j] += 1
+    return counts
+
+
 def _diagonal_measure(spec: CompactDiagonal, delta: Fraction) -> BucketMeasure:
-    buckets: dict[int, Cardinal] = {}
-    for v in spec.prefix:
-        j = bucket_index(v, delta)
-        buckets[j] = card_add(buckets.get(j, ZERO), Finite(1))
+    buckets = {j: Finite(n) for j, n in _prefix_bucket_counts(spec.prefix, delta).items()}
     atoms: tuple[TailAtom, ...] = ()
     if not isinstance(spec.tail, ZeroTail):
         atoms = (SeqRay(SeqSpan(spec.tail, 1, 1)),)
@@ -682,7 +704,7 @@ def flatten_values(
 
     Bucket-only specs carry no recoverable values and are rejected.
     """
-    values: list[Fraction] = []
+    runs: list[Sequence[Fraction]] = []  # each leaf's values, nonincreasing
     spans: dict[tuple, SeqSpan] = {}
     alephs: list[tuple[Fraction, int]] = []
     kernel = ZERO
@@ -696,12 +718,12 @@ def flatten_values(
             return
         if isinstance(node, FiniteMatrix):
             kept, _thresh = _kept_singular_values(node, svd_tol)
-            values.extend(map(Fraction, kept.tolist()))
+            runs.append(list(map(Fraction, kept.tolist())))
             kernel = card_add(kernel, Finite(node.n_cols - len(kept)))
             cokernel = card_add(cokernel, Finite(node.n_rows - len(kept)))
             return
         if isinstance(node, CompactDiagonal):
-            values.extend(node.prefix)
+            runs.append(node.prefix)
             kernel = card_add(kernel, node.kernel_dim)
             cokernel = card_add(cokernel, node.cokernel_dim)
             if not isinstance(node.tail, ZeroTail):
@@ -716,7 +738,7 @@ def flatten_values(
             if node.dim == ZERO:
                 return
             if is_finite(node.dim):
-                values.extend([node.value] * node.dim.n)
+                runs.append([node.value] * node.dim.n)
             else:
                 alephs.append((node.value, node.dim.level))
             return
@@ -728,8 +750,13 @@ def flatten_values(
         raise TypeError(f"not an operator spec: {node!r}")
 
     walk(spec)
+    runs = [run for run in runs if run]
+    if len(runs) == 1:
+        values = tuple(runs[0])  # one run is sorted already
+    else:
+        values = tuple(sorted(chain.from_iterable(runs), reverse=True))
     return ValueInventory(
-        values=tuple(sorted(values, reverse=True)),
+        values=values,
         spans=tuple(spans.values()),
         aleph_values=tuple(sorted(alephs, reverse=True)),
         kernel_dim=kernel,

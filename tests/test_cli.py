@@ -26,6 +26,8 @@ from opequiv import (
     decide_strong,
 )
 from opequiv.cli import (
+    _STRICT_RATIONAL,
+    _frac,
     main,
     parse_spec,
     run,
@@ -178,6 +180,48 @@ def test_aleph_levels_must_be_canonical_integers(count):
 def test_canonical_bucket_keys_and_levels_parse():
     parsed = parse_spec(doc(buckets_with(buckets={"-12": "aleph1", "0": 2, "10": "aleph0"}), UNIT))
     assert parsed.t.measure.buckets == {-12: Aleph(1), 0: Finite(2), 10: ALEPH0}
+
+
+# Strict rationals are parsed by int(); every result and every error must be
+# the one Fraction(str) gives.
+
+
+@pytest.mark.parametrize("text", ["-0", "007/3", "4/6", "-12/8", "5", "-0/7"])
+def test_strict_rationals_parse_as_fraction_does(text):
+    assert _STRICT_RATIONAL.fullmatch(text)
+    got = _frac(text, "/x")
+    assert type(got) is Fraction and got == Fraction(text)
+
+
+@pytest.mark.parametrize("text", [" 3/4", "+3", "1_000", "1.5", "3/05", "1e-3", "\u0663/4"])
+def test_other_rational_strings_still_take_fraction(text):
+    assert not _STRICT_RATIONAL.fullmatch(text)
+    assert _frac(text, "/x") == Fraction(text)
+
+
+@pytest.mark.parametrize(
+    "prefix, message",
+    [
+        (["1", "3/0"], "/T/prefix/1: bad rational '3/0': Fraction(3, 0)"),
+        (["1/2", "3/05"], "/T/prefix/1: prefix must be nonincreasing"),  # 3/05 is 3/5
+        (["1", "-3/5"], "/T/prefix/1: singular values must be positive"),
+        (["3/4", "-0"], "/T/prefix/1: singular values must be positive"),
+    ],
+)
+def test_rational_errors_keep_their_pointer_and_message(prefix, message):
+    with pytest.raises(SchemaError) as info:
+        parse_spec(doc({"kind": "compact_diagonal", "prefix": prefix}, UNIT))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text", ["1" * 5000 + "/3", "1/" + "1" * 5000])
+def test_a_strict_rational_past_the_digit_limit_is_a_bad_rational(text):
+    assert _STRICT_RATIONAL.fullmatch(text)
+    with pytest.raises(ValueError) as raw:
+        Fraction(text)
+    with pytest.raises(SchemaError) as info:
+        parse_spec(doc({"kind": "compact_diagonal", "prefix": [text]}, UNIT))
+    assert str(info.value) == f"/T/prefix/0: bad rational {text!r}: {raw.value}"
 
 
 def test_float_tolerance_option_is_accepted():

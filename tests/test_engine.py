@@ -1,5 +1,6 @@
 """Tests for the equivalence decision engine and witness construction."""
 
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -25,7 +26,9 @@ from opequiv import (
     PowerSeq,
     RightByDim,
     ScaledIdentity,
+    SeqSpan,
     SpecError,
+    UnsupportedTailError,
     Verdict,
     ZERO,
     ZeroTail,
@@ -34,9 +37,11 @@ from opequiv import (
     decide_extension_family,
     decide_strong,
     direct_sum,
+    flatten_values,
     kernel_condition,
     modulus_data,
 )
+from opequiv.engine import _Seq, _bounds_at, _shift_envelope, _tail_piece, _value_pair_witness
 
 HALF = F(1, 2)
 
@@ -484,3 +489,139 @@ def test_reflexivity_on_finite_diagonals(t):
     assert vs.holds and vs.witness.delta_prime == F(1)
     ve = decide_extension_family(t, t)
     assert ve.holds
+
+
+# ---------------------------------------------------------------------------
+# The integer-pair envelope against the Fraction formula it replaces
+
+
+def fraction_envelope(t, s, m):
+    """_shift_envelope computed with one Fraction per piece, as it was before
+    the running minimum became an integer pair; kept as the oracle."""
+    lt, ls = t.finite_len(), s.finite_len()
+    if (lt is None) != (ls is None):
+        return None
+    if lt is not None and ls - lt != m:
+        return None
+    n_min = max(1, 1 - m)
+    hi = lt if lt is not None else max(t.head_len, s.head_len - m)
+    pieces = [F(1)]
+    for n in range(n_min, hi + 1):
+        (tlo, thi), (slo, shi) = _bounds_at(t, n), _bounds_at(s, n + m)
+        pieces.append(min(tlo / shi, slo / thi))
+    if lt is None:
+        got = _tail_piece(t, s, m, hi + 1)
+        if got is None:
+            return None
+        pieces.append(got)
+    return min(pieces)
+
+
+def envelope_outcome(envelope, t, s, m):
+    try:
+        return ("envelope", envelope(t, s, m))
+    except UnsupportedTailError as e:
+        return ("refused", str(e))
+
+
+_head_values = st.fractions(min_value=F(1, 1000), max_value=F(8), max_denominator=1000)
+_span_consts = st.fractions(min_value=F(1, 16), max_value=F(16), max_denominator=60)
+
+
+@st.composite
+def envelope_cases(draw):
+    """(t, s, m): value sequences and a shift in -3..3.
+
+    Finite pairs mostly have the lengths a shift m can cover; tailed pairs
+    mostly share a tail family and a multiplicity, so that the tail piece
+    is bounded.
+    """
+    m = draw(st.integers(-3, 3))
+
+    def head(size=None):
+        sizes = {"min_size": size, "max_size": size} if size is not None else {"max_size": 8}
+        return tuple(sorted(draw(st.lists(_head_values, **sizes)), reverse=True))
+
+    kinds = ["finite"] * 2 + ["power", "fractional power", "geometric", "factorial", "mixed"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "finite":
+        t_vals = head()
+        size = len(t_vals) + m if draw(st.integers(0, 3)) else draw(st.integers(0, 8))
+        return _Seq(t_vals, None), _Seq(head(max(0, size)), None), m
+    if kind == "power":
+        p = F(draw(st.integers(1, 3)))
+        models = [PowerSeq(draw(_span_consts), p) for _ in range(2)]
+    elif kind == "fractional power":
+        p = draw(st.sampled_from([F(1, 2), F(3, 2), F(5, 3), F(7, 4)]))
+        models = [PowerSeq(draw(_span_consts), p) for _ in range(2)]
+    elif kind == "geometric":
+        r = draw(st.sampled_from([F(1, 2), F(1, 3), F(3, 4)]))
+        models = [GeometricSeq(draw(_span_consts), r) for _ in range(2)]
+    elif kind == "factorial":
+        models = [FactorialSeq()] * 2
+    else:
+        families = [
+            PowerSeq(draw(_span_consts), F(1)),
+            PowerSeq(draw(_span_consts), F(3, 2)),
+            GeometricSeq(draw(_span_consts), F(1, 2)),
+            FactorialSeq(),
+        ]
+        models = [draw(st.sampled_from(families)) for _ in range(2)]
+    mult = draw(st.integers(1, 2))
+    mults = [mult, mult if draw(st.integers(0, 9)) else 3 - mult]
+    t, s = (
+        _Seq(head(), SeqSpan(model, draw(st.integers(1, 5)), k))
+        for model, k in zip(models, mults)
+    )
+    return t, s, m
+
+
+def test_integer_envelope_matches_the_fraction_formula():
+    outcomes = Counter()
+
+    @given(envelope_cases())
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    def check(case):
+        t, s, m = case
+        got = envelope_outcome(_shift_envelope, t, s, m)
+        assert got == envelope_outcome(fraction_envelope, t, s, m)
+        tailed = "tailed" if t.span is not None else "finite"
+        outcomes[tailed, got[0] if got[1] is not None else None] += 1
+
+    check()
+    checked = sum(outcomes.values())
+    for key in (("finite", "envelope"), ("finite", None), ("tailed", "envelope"), ("tailed", None)):
+        assert outcomes[key] >= checked // 25, outcomes
+    assert outcomes["tailed", "refused"] >= 1, outcomes
+
+
+@st.composite
+def finite_value_specs(draw):
+    """A direct sum of finite diagonals and scaled identities, and its values."""
+    parts, values = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            prefix = tuple(sorted(draw(st.lists(_head_values, max_size=6)), reverse=True))
+            parts.append(CompactDiagonal(prefix=prefix))
+            values.extend(prefix)
+        else:
+            value, dim = draw(_head_values), draw(st.integers(0, 3))
+            parts.append(ScaledIdentity(value, Finite(dim)))
+            values.extend([value] * dim)
+    spec = parts[0]
+    for part in parts[1:]:
+        spec = direct_sum(spec, part)
+    return spec, sorted(values, reverse=True)
+
+
+@given(finite_value_specs(), finite_value_specs())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_value_pair_witness_matches_the_fraction_formula(a, b):
+    (spec_a, va), (spec_b, vb) = a, b
+    assert flatten_values(spec_a).values == tuple(va)
+    dp = F(1)
+    for x, y in zip(va, vb):
+        dp = min(dp, x / y, y / x)
+    got = _value_pair_witness(spec_a, spec_b, F(1, 10**9))
+    assert got.delta_prime == dp
+    assert got.pairing == tuple((i, i) for i in range(1, min(len(va), len(vb)) + 1))

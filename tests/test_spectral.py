@@ -481,16 +481,32 @@ def test_modulus_data_buckets_passthrough_checks_delta():
         modulus_data(Buckets(m), F(1, 3))
 
 
-@given(st.lists(st.fractions(min_value=F(1, 64), max_value=F(8)), min_size=1, max_size=8))
-@settings(max_examples=80)
-def test_modulus_data_matches_bucketed_values(vals):
+@st.composite
+def prefixes_with_edges(draw):
+    """(delta, prefix): a nonincreasing prefix that holds exact bucket edges,
+    values just either side of an edge, and repeated values."""
+    delta = draw(st.sampled_from([HALF, F(1, 3), F(2, 3), F(5, 7)]))
+    edges = st.integers(-4, 8).map(lambda j: pow_delta(delta, j))
+    beside = st.tuples(edges, st.sampled_from([F(1, 10**6), F(-1, 10**6)])).map(
+        lambda pair: pair[0] * (1 + pair[1])
+    )
+    free = st.fractions(min_value=F(1, 64), max_value=F(8))
+    vals = draw(st.lists(edges | beside | free, min_size=1, max_size=12))
+    vals += [draw(st.sampled_from(vals)) for _ in range(draw(st.integers(0, 4)))]
+    return delta, sorted(vals, reverse=True)
+
+
+@given(prefixes_with_edges())
+@settings(max_examples=200)
+def test_modulus_data_matches_bucketed_values(case):
     # A diagonal's measure is exactly the histogram of bucket_index over its
-    # values (floats stay far from edges here by keeping denominators small).
-    vals = sorted(vals, reverse=True)
-    m = modulus_data(CompactDiagonal(prefix=tuple(vals)), HALF)
+    # values. The buckets are half-open, [delta^(j+1), delta^j), so a value
+    # on an edge opens the lower bucket.
+    delta, vals = case
+    m = modulus_data(CompactDiagonal(prefix=tuple(vals)), delta)
     expected = {}
     for v in vals:
-        j = bucket_index(v, HALF)
+        j = bucket_index(v, delta)
         expected[j] = expected.get(j, 0) + 1
     assert {j: c.n for j, c in m.buckets.items()} == expected
 
