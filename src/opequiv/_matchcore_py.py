@@ -10,7 +10,7 @@ run in near-linear time in the size of their input.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, compress, count, groupby, islice, repeat
+from itertools import accumulate, compress, count, islice, repeat
 from operator import gt, sub
 
 
@@ -59,26 +59,26 @@ def verify_windows(a, b, k0: int, k1: int, hi: int):
     return None if hit is None else (k0 + hit[0], hit[1])
 
 
-def sdr_match(t_buckets, s_buckets, width: int):
-    """Greedy system of distinct representatives for staircase windows.
+def sdr_claims(t_keys, t_counts, s_keys, s_counts, width: int):
+    """Greedy system of distinct representatives for staircase windows, by bucket.
 
-    Each element of ``t_buckets`` (sorted ascending) claims the lowest unused
-    slot of ``s_buckets`` (sorted ascending) whose bucket lies within
-    ``width`` of its own. Returns one slot index per element, -1 when no slot
-    is available. Least-slot greedy is optimal here because candidate ranges
-    are nested staircase intervals whose bounds only move up: every slot from
-    ``lo`` to the last one claimed is taken, so the least free is max(free, lo).
+    Bucket ``t_keys[r]`` (ascending) holds ``t_counts[r]`` elements; the slots
+    are the elements of ``s_keys`` / ``s_counts`` (ascending), numbered in
+    bucket order. Each element claims the lowest unused slot whose bucket lies
+    within ``width`` of its own. Least-slot greedy is optimal here because
+    candidate ranges are nested staircase intervals whose bounds only move up:
+    every slot from ``lo`` to the last one claimed is taken, so the least free
+    is max(free, lo), and the elements of one bucket, which share a window,
+    claim one contiguous interval from there. Returns the first slot of each
+    bucket's interval, or None when some bucket's window runs out of slots.
     """
+    s_starts = list(accumulate(s_counts, initial=0))
     out = []
     free = 0  # one past the last claimed slot
-    for j, run in groupby(t_buckets):  # elements of one bucket share a window
-        lo = bisect_left(s_buckets, j - width)
-        hi = bisect_right(s_buckets, j + width)
-        free = max(free, lo)
-        for _ in run:
-            if free < hi:
-                out.append(free)
-                free += 1
-            else:
-                out.append(-1)
+    for j, c in zip(t_keys, t_counts):
+        free = max(free, s_starts[bisect_left(s_keys, j - width)])
+        if free + c > s_starts[bisect_right(s_keys, j + width)]:
+            return None
+        out.append(free)
+        free += c
     return out

@@ -226,7 +226,10 @@ def _measure(obj: dict, path: str) -> BucketMeasure:
         j = canonical_int(key)
         if j is None:
             _fail(f"{path}/buckets/{key}", f"bucket index {key!r} is not an integer in canonical form")
-        buckets[j] = _card(value, f"{path}/buckets/{key}")
+        try:  # the pointer is built only for a rejected entry
+            buckets[j] = card_from_json(value)
+        except ValueError as e:
+            _fail(f"{path}/buckets/{key}", str(e))
     atoms = tuple(
         _atom(node, f"{path}/tails/{i}") for i, node in enumerate(obj.get("tails", ()))
     )
@@ -540,7 +543,7 @@ def verdict_to_json(v: Verdict) -> dict:
 def match_to_json(r: MatchResult) -> dict:
     return {
         "case": r.case_tag,
-        "pairing": [[list(a), list(b)] for a, b in r.pairing],
+        "pairing": r.pairing,  # json writes its nested tuples as arrays
         "padding": card_to_json(r.padding),
         "delta_prime": _frac_json(r.delta_prime),
     }

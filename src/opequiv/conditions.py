@@ -14,9 +14,11 @@ integer-valued and decided exactly: finite stretches by the matcher's window
 scan (``_matchcore_py.first_window``, lexicographically first window) over
 count arrays, unbounded tails by closed-form certificates on the symbolic tail
 atoms. Probes only ask whether a widening certifies. Where a certificate
-holds from a depth (identical tail generators, or one same-family span on
-each side), a probe scans only up to that depth, often the last explicit
-bucket plus the widening; otherwise it scans to a fixed horizon past it.
+holds from a depth (identical tail generators, one same-family span on each
+side, or a's bounded per-bucket density against b's constant rays), a probe
+scans only up to that depth, often the last explicit bucket plus the
+widening; where no certificate can apply it does not scan; otherwise it
+scans to a fixed horizon past it.
 A direction the q_max check does not certify is located as before: scanned
 to the horizon, and, without a certificate, past it for a re-checkable
 window, raising UnsupportedTailError, rather than guessing, when none turns
@@ -417,13 +419,21 @@ def _tail_certificate(
         if fwd and rev and v_last >= 0:
             return None
         return _span_note(a, b)
-    # Bounded per-bucket density of a against constant densities of b: split
-    # any deep window at h_scan — the scanned part is dominated, and each
-    # extra bucket of a (at most cap) is paid by one extra bucket of b. A
-    # growing b (a GeometricRay or a power span) gets no certificate: the pair
-    # could not hold anyway, since b -> a is then never certified. The two
-    # tests above are symmetric, b's growth keeps it out of this one, and an
-    # infinite ray settles both directions before any certificate.
+    return _density_note(a, b)
+
+
+def _density_note(a: _Side, b: _Side) -> Optional[str]:
+    """None when the bounded-density certificate applies past the scan
+    horizon; otherwise why it does not.
+
+    Bounded per-bucket density of a against constant densities of b: split
+    any deep window at h_scan — the scanned part is dominated, and each
+    extra bucket of a (at most cap) is paid by one extra bucket of b. A
+    growing b (a GeometricRay or a power span) gets no certificate: the pair
+    could not hold anyway, since b -> a is then never certified. The two
+    tests before this one in _tail_certificate are symmetric, b's growth
+    keeps it out of this one, and an infinite ray settles both directions
+    before any certificate."""
     da, db = a.densities, b.densities
     if all(k in ("const", "sparse", "bounded") for k, _ in da):
         cap = sum(v for _, v in da)
@@ -443,17 +453,29 @@ def _span_note(a: _Side, b: _Side) -> str:
     return f"no eventual-domination certificate for tail pair {type(x).__name__} vs {type(y).__name__}"
 
 
-def _tail_depth(a: _Side, b: _Side, q: int, h_from: int) -> Union[None, str, tuple[int, int]]:
+def _tail_depth(
+    a: _Side, b: _Side, q: int, h_from: int
+) -> Union[None, str, tuple[int, Optional[int]]]:
     """(depth, D): U(h) <= D and V(m) >= D for all h, m > depth, with the
-    depth at most the scan horizon. A note when the span pair's bound fails
-    even at its deepest rung, and None when neither certificate of a depth
-    applies or its depth lies past the horizon. Every explicit bucket is
-    counted past h_from."""
+    depth at most the scan horizon; D is None when no window reaching past
+    the depth can fail once the windows up to it are dominated. A note when
+    no certificate can apply, whatever the scan finds: the span pair's bound
+    fails even at its deepest rung, or b does not cover a's density. None
+    when the certificate needs the scan to the horizon, or its depth lies
+    past it. Every explicit bucket and every ray start lies behind h_from."""
     off = a.explicit_total - b.explicit_total
     if a.generator_key == b.generator_key:
         return h_from, off  # see _tail_certificate
     if not _single_spans(a, b):
-        return None
+        note = _density_note(a, b)
+        if note is not None:
+            return note
+        # A factorial span's bound of mult per bucket only holds deep: while
+        # consecutive factorials differ by less than 1/delta they share
+        # buckets (at delta 1/100 up to about bucket 78), so sparse atoms
+        # keep _locate. The others' bound holds from their first bucket on,
+        # so past h_from each bucket of a is paid by one of b's.
+        return None if any(k == "sparse" for k, _ in a.densities) else (h_from, None)
     # U(h) <= 0 for h >= fwd, and V(m) >= 0 for m - q >= rev; the deepest
     # rungs are _tail_certificate's.
     h_scan = _horizon(a, b, q)
@@ -594,8 +616,8 @@ def _check_direction(
 ) -> Union[None, tuple[int, int], str]:
     """None exactly when _locate answers None, found with a scan that stops
     where a certificate of a depth holds; otherwise a window found on the way
-    or a note. Where no such certificate applies, or it holds only past the
-    scan horizon, this is _locate."""
+    or a note, at once when no certificate can apply. Where one may apply
+    but gives no depth within the scan horizon, this is _locate."""
     h_from = _structural_horizon(a, b, q)
     if _untailed(a, b):
         return _scan_to(a, b, q, k_min, h_from)[0]
@@ -608,7 +630,7 @@ def _check_direction(
     hit, v_last = _scan_to(a, b, q, k_min, depth)
     if hit is not None:
         return hit
-    if (k_min is not None and k_min > depth) or v_last >= bound:
+    if bound is None or (k_min is not None and k_min > depth) or v_last >= bound:
         return None
     return "the scan's V-minimum lies below the tail bound"
 

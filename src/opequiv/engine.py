@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice, repeat
 from typing import Optional, Union
 
 from .cardinal import Aleph, Cardinal, Finite, card_lt, is_finite
@@ -44,8 +44,8 @@ from .tails import (
     pow_delta,
     ratio_root_lower,
     ratio_root_upper,
+    term_bounds,
     term_cmp,
-    term_value,
 )
 
 RELATION_STRONG = "strong"
@@ -182,34 +182,36 @@ def _pow_frac_bounds(x: Fraction, p: Fraction) -> tuple[Fraction, Fraction]:
     return ratio_root_lower(y, p.denominator), ratio_root_upper(y, p.denominator)
 
 
-def _bounds_at(seq: _Seq, n: int) -> tuple[Fraction, Fraction]:
-    """Rational bounds for the n-th value (1-based)."""
-    if n <= seq.head_len:
-        v = seq.values[n - 1]
-        return v, v
+def _value_bounds(seq: _Seq, lo: int, hi: int) -> list[tuple[int, int, int, int]]:
+    """Bounds (lo num, lo den, hi num, hi den) of the values lo..hi (1-based),
+    evaluating each tail argument once for all its copies."""
+    out = [(v.numerator, v.denominator) * 2 for v in seq.values[lo - 1 : hi]]
+    n = max(lo, seq.head_len + 1)  # first index inside the tail span
+    if n > hi:
+        return out
     span = seq.span
     if span is None:
-        raise SpecError(f"value index {n} beyond a finite sequence")
-    arg = span.start + (n - seq.head_len - 1) // span.mult
-    v = term_value(span.model, arg)
-    if v is not None:
-        return v, v
-    m = span.model  # PowerSeq with fractional exponent
-    lo, hi = _pow_frac_bounds(Fraction(arg), m.p)
-    return m.c / hi, m.c / lo
+        raise SpecError(f"value index {hi} beyond a finite sequence")
+    k = span.mult
+    skip, top = n - seq.head_len - 1, hi - seq.head_len - 1  # offsets into the span
+    terms = term_bounds(span.model, span.start + skip // k, span.start + top // k)
+    copies = chain.from_iterable(map(repeat, terms, repeat(k)))
+    out.extend(islice(copies, skip % k, skip % k + hi - n + 1))
+    return out
 
 
-def _least_ratio(pairs) -> tuple[int, int]:
-    """min(1, x/y, y/x) over pairs (x, y) of positive rationals, as an
-    integer pair (numerator, denominator).
+def _least_ratio(quads) -> tuple[int, int]:
+    """min(1, x/y, y/x) over positive rationals x = xn/xd and y = yn/yd,
+    given as integer quadruples (xn, xd, yn, yd), as an integer pair
+    (numerator, denominator).
 
     Candidates are compared by cross-multiplication, so no Fraction is built
     per pair.
     """
     bn = bd = 1
-    for x, y in pairs:
-        a = x.numerator * y.denominator
-        b = y.numerator * x.denominator
+    for xn, xd, yn, yd in quads:
+        a = xn * yd
+        b = yn * xd
         if a > b:
             a, b = b, a
         if a * bd < bn * b:
@@ -217,21 +219,25 @@ def _least_ratio(pairs) -> tuple[int, int]:
     return bn, bd
 
 
+def _quads(pairs):
+    """Quadruples for _least_ratio from pairs of Fractions."""
+    return ((x.numerator, x.denominator, y.numerator, y.denominator) for x, y in pairs)
+
+
 def _bounded_pairs(t: _Seq, s: _Seq, m: int, lo: int, hi: int):
-    """Pairs for _least_ratio that bound min(r, 1/r), r = t_n / s_{n+m}, from
-    below for every n in lo..hi.
+    """Quadruples for _least_ratio that bound min(r, 1/r), r = t_n / s_{n+m},
+    from below for every n in lo..hi.
 
     With tlo <= t_n <= thi and slo <= s_{n+m} <= shi the bound is
     min(tlo/shi, slo/thi); their reciprocals shi/tlo >= slo/thi and
     thi/slo >= tlo/shi never undercut it, so the pairs (tlo, shi) and
-    (slo, thi) give it exactly, and one pair suffices for exact values.
+    (slo, thi) give it exactly (for exact values they are the same ratio).
     """
-    for n in range(lo, hi + 1):
-        tlo, thi = _bounds_at(t, n)
-        slo, shi = _bounds_at(s, n + m)
-        yield tlo, shi
-        if tlo is not thi or slo is not shi:  # the same object for an exact value
-            yield slo, thi
+    for (tln, tld, thn, thd), (sln, sld, shn, shd) in zip(
+        _value_bounds(t, lo, hi), _value_bounds(s, lo + m, hi + m)
+    ):
+        yield tln, tld, shn, shd
+        yield sln, sld, thn, thd
 
 
 def _tail_piece(t: _Seq, s: _Seq, m: int, n_pure: int) -> Optional[Fraction]:
@@ -290,7 +296,7 @@ def _shift_envelope(t: _Seq, s: _Seq, m: int) -> Optional[Fraction]:
     # Indices n_min..both pair two explicit values; past them (tails only)
     # at least one value comes from a tail span.
     both = max(n_min - 1, min(t.head_len, s.head_len - m))
-    pairs = zip(t.values[n_min - 1 : both], s.values[n_min + m - 1 : both + m])
+    pairs = _quads(zip(t.values[n_min - 1 : both], s.values[n_min + m - 1 : both + m]))
     if lt is not None:
         return Fraction(*_least_ratio(pairs))
     hi = max(t.head_len, s.head_len - m)
@@ -415,7 +421,7 @@ def _value_pair_witness(
         return None
     va, vb = inv_a.values, inv_b.values  # nonincreasing
     overlap = min(len(va), len(vb))
-    dp = Fraction(*_least_ratio(zip(va, vb)))
+    dp = Fraction(*_least_ratio(_quads(zip(va, vb))))
     side: Optional[ExtensionSide] = None
     if len(va) < len(vb):
         side = LeftByDim(Finite(len(vb) - len(va)))

@@ -9,15 +9,19 @@ guaranteed within [delta', 1/delta'].
 
 The inner loops live in ``_matchcore_py`` and run in near-linear time: the
 window scan (``first_window`` at widening 1, the kernel ``conditions`` also
-scans with) and the distinct-representatives matching. The fixed point that
-splits the elements follows each chain of the two injections once.
+scans with) and the distinct-representatives matching, which claims one
+interval of slots per bucket. ``build_matching`` numbers the elements of each
+side in (bucket, ordinal) order and holds the two injections as int lists;
+the fixed point that splits the elements follows each chain of them once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate, chain, repeat
 from typing import Mapping, Optional
 
 from . import _matchcore_py as _core
@@ -72,10 +76,9 @@ class BucketFunction:
 
     def elements(self) -> list[tuple[int, int]]:
         """All element ids (bucket, ordinal), lexicographically sorted."""
-        out = []
-        for j in sorted(self.counts):
-            out.extend((j, i) for i in range(self.counts[j]))
-        return out
+        keys, counts, _ = _runs(self)
+        buckets = chain.from_iterable(map(repeat, keys, counts))
+        return list(zip(buckets, chain.from_iterable(map(range, counts))))
 
 
 @dataclass(frozen=True)
@@ -155,19 +158,28 @@ def window_count(f: BucketFunction, k: int, h: int) -> int:
 
 
 def _sdr(
-    dom: list[tuple[int, int]], codomain: list[tuple[int, int]]
-) -> dict[tuple[int, int], tuple[int, int]]:
-    """Injective map dom -> codomain, each element to a slot within one bucket."""
-    assignment = _core.sdr_match([e[0] for e in dom], [e[0] for e in codomain], 1)
-    out = {}
-    for el, slot in zip(dom, assignment):
-        if slot < 0:
-            raise SpecError(
-                "internal matching failure: distinct representatives missing "
-                "although the window hypotheses hold"
-            )
-        out[el] = codomain[slot]
-    return out
+    keys: list[int], counts: list[int], cod_keys: list[int], cod_counts: list[int]
+) -> list[int]:
+    """Injective map from the elements of buckets ``keys`` into cod's elements.
+
+    Each element goes to a slot within one bucket of its own, and the
+    elements of one bucket to one contiguous interval of slots (cod's element
+    ids in (bucket, ordinal) order): returns each bucket's first slot.
+    """
+    claims = _core.sdr_claims(keys, counts, cod_keys, cod_counts, 1)
+    if claims is None:
+        raise SpecError(
+            "internal matching failure: distinct representatives missing "
+            "although the window hypotheses hold"
+        )
+    return claims
+
+
+def _runs(f: BucketFunction) -> tuple[list[int], list[int], list[int]]:
+    """Bucket keys ascending, their counts, and each bucket's first element id."""
+    keys = sorted(f.counts)
+    counts = [f.counts[j] for j in keys]
+    return keys, counts, list(accumulate(counts, initial=0))
 
 
 def build_matching(
@@ -178,6 +190,9 @@ def build_matching(
     ONE_SIDED verifies the window hypotheses for k >= N and may pad either
     side with unit-value elements (cases II/III); TWO_SIDED_STRICT verifies
     them for all k and always produces an unpadded bijection (case I).
+
+    Elements are numbered in (bucket, ordinal) order on each side, so the
+    deep ones (bucket >= N, or all of them when strict) are a suffix.
     """
     _check_pair(tau, sigma)
     all_k = mode is MatchMode.TWO_SIDED_STRICT
@@ -186,73 +201,81 @@ def build_matching(
         raise HypothesisViolationError(bad.side, bad.k, bad.length)
 
     delta, N = tau.delta, tau.N
-    t_all = tau.elements()
-    s_all = sigma.elements()
-    if all_k:
-        t_deep = t_all
-        s_deep = s_all
-    else:
-        t_deep = [e for e in t_all if e[0] >= N]
-        s_deep = [e for e in s_all if e[0] >= N]
+    t_keys, t_counts, t_starts = _runs(tau)
+    s_keys, s_counts, s_starts = _runs(sigma)
+    n_t, n_s = t_starts[-1], s_starts[-1]
+    t_first = 0 if all_k else bisect_left(t_keys, N)  # first deep bucket
+    s_first = 0 if all_k else bisect_left(s_keys, N)
 
-    phi = _sdr(t_deep, s_all)  # distinct representatives in 3-bucket windows
-    psi = _sdr(s_deep, t_all)
+    # phi: deep T -> S and psi: deep S -> T, distinct representatives in
+    # 3-bucket windows, -1 off their domains: one claimed interval per bucket.
+    phi = [-1] * n_t
+    claims = _sdr(t_keys[t_first:], t_counts[t_first:], s_keys, s_counts)
+    for lo, c, slot in zip(t_starts[t_first:], t_counts[t_first:], claims):
+        phi[lo : lo + c] = range(slot, slot + c)
+    psi = [-1] * n_s
+    psi_inv = [-1] * n_t
+    missed = []  # T ids outside psi's image, as ranges
+    free = 0
+    claims = _sdr(s_keys[s_first:], s_counts[s_first:], t_keys, t_counts)
+    for lo, c, slot in zip(s_starts[s_first:], s_counts[s_first:], claims):
+        psi[lo : lo + c] = range(slot, slot + c)
+        psi_inv[slot : slot + c] = range(lo, lo + c)
+        missed.append(range(free, slot))
+        free = slot + c
+    missed.append(range(free, n_t))
 
     # Least fixed point of E -> T \ psi[(S \ phi[E cap T']) cap S']. Both maps
     # are injective, so it is T \ psi[S'] closed under t -> psi[phi[t]]
     # (t in T', phi[t] in S'): follow each chain from an element psi misses.
-    psi_inv = {v: k for k, v in psi.items()}
-    e0: set = set()
-    for t in t_all:
-        if t in psi_inv:
-            continue
-        while t not in e0:
-            e0.add(t)
-            s = phi.get(t)
-            if s not in psi:
-                break
-            t = psi[s]
-
-    f1 = [t for t in t_all if t not in e0]
-    f2 = [t for t in t_deep if t in e0]
-    f3 = [t for t in t_all if t in e0 and t not in phi]
-    g2 = {phi[t] for t in f2}
-    g3 = [s for s in s_all if s not in g2 and s not in psi]
-
-    pairs: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    for t in f1:
-        pairs.append((t, psi_inv[t]))
-    for t in f2:
-        pairs.append((t, phi[t]))
+    # T elements pair with psi^-1 outside the fixed point and with phi inside
+    # it, so ``target`` starts as psi^-1 and takes phi along the chains. A
+    # chain stops at a shallow T element (-1: no phi) or a shallow S element.
+    target = psi_inv
+    in_image = bytearray(s_starts[s_first])  # shallow S elements phi pairs
+    for run in missed:
+        for t in run:
+            while True:
+                s = target[t] = phi[t]
+                if s < 0:
+                    break
+                t = psi[s]
+                if t < 0:
+                    in_image[s] = 1
+                    break
+    f3 = [t for t in range(t_starts[t_first]) if target[t] < 0]
+    g3 = [s for s, paired in enumerate(in_image) if not paired]
 
     # Cross-match the leftover shallow elements; pad the short side with
-    # unit-value elements (bucket -1).
+    # unit-value elements (bucket -1), in order after its real bucket -1.
     n_cross = min(len(f3), len(g3))
-    for t, s in zip(f3[:n_cross], g3[:n_cross]):
-        pairs.append((t, s))
+    for t, s in zip(f3, g3):
+        target[t] = s
     n_pad = abs(len(f3) - len(g3))
     if n_pad and all_k:
         raise SpecError(
             "internal inconsistency: strict two-sided hypotheses cannot require padding"
         )
-    if len(f3) < len(g3):
-        case = "II"  # left side padded
-        base = tau.counts.get(-1, 0)
-        for i, s in enumerate(g3[n_cross:]):
-            pairs.append(((-1, base + i), s))
-    elif len(g3) < len(f3):
-        case = "III"  # right side padded
+    case = "I" if not n_pad else "II" if len(f3) < len(g3) else "III"
+    t_all, s_all = tau.elements(), sigma.elements()
+    if case == "III":  # right side padded
         base = sigma.counts.get(-1, 0)
-        for i, t in enumerate(f3[n_cross:]):
-            pairs.append((t, (-1, base + i)))
-    else:
-        case = "I"
+        for t, pad in zip(f3[n_cross:], range(n_s, n_s + n_pad)):
+            target[t] = pad
+        s_all.extend(zip(repeat(-1), range(base, base + n_pad)))
+    pairing = list(zip(t_all, map(s_all.__getitem__, target)))
+    if case == "II":  # left side padded
+        base = tau.counts.get(-1, 0)
+        at = t_starts[bisect_right(t_keys, -1)]
+        pairing[at:at] = zip(
+            zip(repeat(-1), range(base, base + n_pad)), map(s_all.__getitem__, g3[n_cross:])
+        )
 
     m_bound = max(tau.M, sigma.M)
     delta_prime = min(delta * delta, pow_delta(delta, N) / m_bound)
     return MatchResult(
         case_tag=case,
-        pairing=tuple(sorted(pairs)),
+        pairing=tuple(pairing),
         padding=Finite(n_pad),
         delta_prime=delta_prime,
     )

@@ -188,7 +188,7 @@ class BucketMeasure:
             c = as_cardinal(c) if isinstance(c, int) else c
             if not isinstance(j, int):
                 raise SpecError(f"bucket index must be an integer, got {j!r}")
-            if c != ZERO:
+            if c.n != 0 if isinstance(c, Finite) else c != ZERO:
                 clean[j] = c
         object.__setattr__(self, "buckets", clean)
         object.__setattr__(self, "atoms", tuple(self.atoms))

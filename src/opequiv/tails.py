@@ -118,24 +118,35 @@ def bucket_index(value: Fraction, delta: Fraction) -> int:
     return -_floor_log(value, 1 / delta) - 1
 
 
-def ratio_root_lower(x: Fraction, k: int, scale: int = 10**9) -> Fraction:
+ROOT_SCALE = 10**9  # root bounds are integers over ROOT_SCALE
+
+
+def root_bracket(num: int, den: int, k: int, scale: int = ROOT_SCALE) -> tuple[int, int]:
+    """Integers lo <= hi with lo/scale <= (num/den)**(1/k) <= hi/scale.
+
+    lo is the floor root at that scale; hi = lo when it is exact, else lo + 1.
+    """
+    y = num * scale**k
+    lo = iroot(y // den, k)
+    return lo, (lo if lo**k * den == y else lo + 1)
+
+
+def ratio_root_lower(x: Fraction, k: int, scale: int = ROOT_SCALE) -> Fraction:
     """A rational lower bound for x**(1/k) (x > 0), exact when possible."""
     if x <= 0:
         raise ValueError("positive x required")
     if k == 1:
         return x
-    return Fraction(iroot(x.numerator * scale**k // x.denominator, k), scale)
+    return Fraction(root_bracket(x.numerator, x.denominator, k, scale)[0], scale)
 
 
-def ratio_root_upper(x: Fraction, k: int, scale: int = 10**9) -> Fraction:
+def ratio_root_upper(x: Fraction, k: int, scale: int = ROOT_SCALE) -> Fraction:
     """A rational upper bound for x**(1/k) (x > 0), exact when possible."""
     if x <= 0:
         raise ValueError("positive x required")
     if k == 1:
         return x
-    guess = Fraction(iroot(x.numerator * scale**k // x.denominator, k), scale)
-    # iroot gives the floor root, so one step of 1/scale up always suffices.
-    return guess if guess**k >= x else guess + Fraction(1, scale)
+    return Fraction(root_bracket(x.numerator, x.denominator, k, scale)[1], scale)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +220,39 @@ def term_value(model: TailModel, n: int) -> Optional[Fraction]:
         return model.c * Fraction(1, m**a)
     if isinstance(model, FactorialSeq):
         return Fraction(1, factorial(n))
+    raise TypeError(f"no terms on {model!r}")
+
+
+def term_bounds(model: TailModel, first: int, last: int) -> list[tuple[int, int, int, int]]:
+    """Bounds (lo num, lo den, hi num, hi den) of the terms first..last.
+
+    Geometric terms, integer-exponent powers and factorials are exact. A
+    fractional power c * n^(-a/b) divides c by the root_bracket bounds of
+    n^(a/b), those of ratio_root_lower and ratio_root_upper, so it is exact
+    where term_value is.
+    """
+    args = range(first, last + 1)
+    if isinstance(model, GeometricSeq):
+        (cn, cd), (rn, rd) = model.c.as_integer_ratio(), model.r.as_integer_ratio()
+        num, den = cn * rn**first, cd * rd**first
+        out = []
+        for _ in args:
+            out.append((num, den, num, den))
+            num, den = num * rn, den * rd
+        return out
+    if isinstance(model, PowerSeq):
+        cn, cd = model.c.as_integer_ratio()
+        a, b = model.p.as_integer_ratio()
+        if b == 1:
+            return [(cn, d, cn, d) for d in (cd * u**a for u in args)]
+        num = cn * ROOT_SCALE
+        out = []
+        for u in args:
+            lo, hi = root_bracket(u**a, 1, b)
+            out.append((num, cd * hi, num, cd * lo))
+        return out
+    if isinstance(model, FactorialSeq):
+        return [(1, f, 1, f) for f in map(factorial, args)]
     raise TypeError(f"no terms on {model!r}")
 
 

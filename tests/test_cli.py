@@ -182,6 +182,28 @@ def test_canonical_bucket_keys_and_levels_parse():
     assert parsed.t.measure.buckets == {-12: Aleph(1), 0: Finite(2), 10: ALEPH0}
 
 
+@pytest.mark.parametrize(
+    "count, message",
+    [
+        (-1, "negative dimension -1"),
+        (True, "not a cardinal: True"),
+        (1.0, "not a cardinal: 1.0"),
+        ("3", "not a cardinal: '3'"),
+        (None, "not a cardinal: None"),
+    ],
+)
+def test_rejected_bucket_counts_name_their_entry(count, message):
+    # Plain counts skip the pointer; a rejected entry still gets its own.
+    with pytest.raises(SchemaError) as info:
+        parse_spec(doc(buckets_with(buckets={"0": 1, "3": count}), UNIT))
+    assert str(info.value) == f"/T/buckets/3: {message}"
+
+
+def test_plain_bucket_counts_parse_to_finite_and_zeros_drop():
+    parsed = parse_spec(doc(buckets_with(buckets={"0": 0, "2": 5, "4": 10**30}), UNIT))
+    assert parsed.t.measure.buckets == {2: Finite(5), 4: Finite(10**30)}
+
+
 # Strict rationals are parsed by int(); every result and every error must be
 # the one Fraction(str) gives.
 
@@ -473,13 +495,15 @@ def test_match_reports_pairing_and_case():
     )
     report, _, code = run("match", parsed)
     assert code == 0
-    assert report == {
+    # The report carries the pairing as tuples; the CLI prints it as arrays.
+    expected = {
         "holds": True,
         "case": "I",
         "pairing": [[[1, 0], [0, 0]]],
         "padding": 0,
         "delta_prime": "1/4",
     }
+    assert json.dumps(report, indent=2) == json.dumps(expected, indent=2)
 
 
 def test_match_shallow_surplus_is_absorbed_by_padding():

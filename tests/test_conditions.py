@@ -1174,10 +1174,12 @@ def test_cutoff_past_the_scan_horizon_leaves_no_window_for_the_remainder():
 def depth_certificate_cases(draw):
     """(T, S, q) whose tails take a certificate of a depth: the same one or
     two atoms of any kind on both sides; one same-family span on each side,
-    each with its own constant, start and multiplicity; or spans 1/n against
-    (1 + tiny)/(2^q n), from a later start, whose bound first holds deep. Or
-    one side has no tail. Each side has 0-4 explicit buckets and maybe
-    aleph0 at -1; q is 1..8."""
+    each with its own constant, start and multiplicity; spans 1/n against
+    (1 + tiny)/(2^q n), from a later start, whose bound first holds deep; or
+    a sparse ray, maybe beside a constant ray, against constant rays that
+    cover its per-bucket bound, which holds only deep. Or one side has no
+    tail. Each side has 0-4 explicit buckets and maybe aleph0 at -1; q is
+    1..8."""
     q = draw(st.integers(1, 8))
 
     def side(atoms):
@@ -1189,7 +1191,7 @@ def depth_certificate_cases(draw):
     def span(model, starts, mult=None):
         return [SeqRay(SeqSpan(model, draw(starts), mult or draw(st.integers(1, 3))))]
 
-    kind = draw(st.sampled_from(["identical", "spans", "deep spans", "one tail"]))
+    kind = draw(st.sampled_from(["identical", "spans", "deep spans", "sparse density", "one tail"]))
     if kind == "spans":
         family = draw(st.sampled_from(["power", "geometric", "factorial"]))
         if family == "power":
@@ -1209,6 +1211,11 @@ def depth_certificate_cases(draw):
         mult = draw(st.integers(1, 3))
         t_atoms = span(PowerSeq(c, F(1)), st.integers(1, 5), mult)
         s_atoms = span(PowerSeq(c * (1 + tiny) / 2**q, F(1)), st.integers(10, 20), mult)
+    elif kind == "sparse density":
+        rays = st.builds(ConstantRay, st.integers(-4, 14), st.integers(1, 3).map(Finite))
+        t_atoms = [SparseRay(draw(st.integers(0, 14)))] + draw(st.lists(rays, max_size=1))
+        cap = 1 + sum(x.count.n for x in t_atoms[1:])
+        s_atoms = [ConstantRay(draw(st.integers(-4, 14)), Finite(cap + draw(st.integers(0, 1))))]
     else:
         t_atoms = draw(st.lists(shared_atoms, min_size=1, max_size=2))
         s_atoms = t_atoms if kind == "identical" else []
@@ -1244,6 +1251,90 @@ def test_probe_certifies_exactly_when_the_located_check_does():
     checked = sum(branches.values())
     for branch in ("short", "no certificate", "past the horizon", "untailed", "located"):
         assert branches[branch] >= checked // 25, branches
+
+
+@st.composite
+def bounded_density_cases(draw):
+    """(T, S, q): T's tail atoms are mostly constant rays and geometric
+    spans, whose per-bucket counts are bounded from their first bucket on,
+    and now and then a growing GeometricRay, a SparseRay or a factorial
+    span, whose are not: at delta 1/100 the factorials 15! and 16! share a
+    bucket, and such pairs recur up to about 100!, far past any ray start.
+    S's are constant rays, whose counts fall short of T's cap, just meet it
+    or reach past it, about a third of the cases each. Each side has 0-4 explicit buckets of 1-6 values and maybe aleph0
+    at -1; q is 1..6 and delta 1/2, 1/10 or 1/100."""
+    q = draw(st.integers(1, 6))
+    delta = draw(st.sampled_from([HALF, F(1, 10), F(1, 100)]))
+
+    def side(atoms):
+        buckets = draw(st.dictionaries(st.integers(-4, 14), st.integers(1, 6).map(Finite), max_size=4))
+        if draw(st.booleans()):
+            buckets[-1] = ALEPH0
+        return meas(buckets, tuple(atoms), delta)
+
+    def t_atom():
+        kind = draw(st.sampled_from(["const"] * 3 + ["span"] * 3 + ["growing", "sparse", "factorial"]))
+        if kind == "const":
+            return ConstantRay(draw(st.integers(-4, 14)), Finite(draw(st.integers(1, 3))))
+        if kind == "span":
+            r = draw(st.sampled_from([F(1, 3), F(3, 5), F(9, 10)]))
+            model = GeometricSeq(draw(span_consts), r)
+            return SeqRay(SeqSpan(model, draw(st.integers(1, 6)), draw(st.integers(1, 2))))
+        if kind == "growing":
+            return GeometricRay(draw(st.integers(0, 14)), 2)
+        if kind == "factorial":
+            return SeqRay(SeqSpan(FactorialSeq(), draw(st.integers(1, 6)), draw(st.integers(1, 2))))
+        return SparseRay(draw(st.integers(0, 14)))
+
+    t = side([t_atom() for _ in range(draw(st.integers(1, 2)))])
+    cap = sum(int(v) for _, v in conditions._Side(t).densities)
+    fit = draw(st.sampled_from(["short", "tight", "cover"]))  # S against the cap
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    if fit == "tight":
+        counts = [cap]
+    elif fit == "cover":
+        counts[0] += max(0, cap - sum(counts))
+    s = side(ConstantRay(draw(st.integers(-4, 14)), Finite(c)) for c in counts)
+    return t, s, q
+
+
+def test_bounded_density_probes_certify_exactly_when_the_located_check_does():
+    # The bounded-density certificate gives the depth h_from, so its probes
+    # scan only that far; _locate scans to the horizon first.
+    outcomes = Counter()
+
+    @given(bounded_density_cases())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def check(case):
+        t, s, q = case
+        a, b = conditions._prepare(t, s)
+        h_from = conditions._structural_horizon(a, b, q)
+        branch = conditions._tail_depth(a, b, q, h_from) == (h_from, None)
+        for k_min in (None, 0, 3, 10, 40):
+            probe = conditions._check_direction(a, b, q, k_min)
+            assert (probe is None) == (conditions._locate(a, b, q, k_min) is None)
+            outcomes[branch, probe is None] += 1
+
+    check()
+    checked = sum(outcomes.values())
+    for key in ((True, True), (True, False), (False, False)):
+        assert outcomes[key] >= checked // 25, outcomes
+
+
+@pytest.mark.parametrize("q", [1, 2, 4])
+def test_factorial_spans_keep_the_located_check_at_small_delta(q):
+    # At delta 1/100 the values 1/15! and 1/16! share a bucket, and such
+    # pairs recur up to about 1/100!, far past h_from: a constant ray of one
+    # value per bucket covers the span's cap of 1 only from there on, so a
+    # window starting at 10 fails, and the depth h_from must not certify it.
+    t = meas({}, (SeqRay(SeqSpan(FactorialSeq(), 1, 1)),), F(1, 100))
+    s = meas({}, (ConstantRay(0, Finite(1)),), F(1, 100))
+    a, b = conditions._prepare(t, s)
+    h_from = conditions._structural_horizon(a, b, q)
+    assert conditions._tail_depth(a, b, q, h_from) is None
+    window = conditions._locate(a, b, q, 10)
+    assert window is not None and window[0] >= 10
+    assert conditions._check_direction(a, b, q, 10) is not None
 
 
 def certifying_sides(monkeypatch, t, s, q_max):

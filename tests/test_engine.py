@@ -41,7 +41,15 @@ from opequiv import (
     kernel_condition,
     modulus_data,
 )
-from opequiv.engine import _Seq, _bounds_at, _shift_envelope, _tail_piece, _value_pair_witness
+from opequiv.engine import (
+    _Seq,
+    _pow_frac_bounds,
+    _shift_envelope,
+    _tail_piece,
+    _value_bounds,
+    _value_pair_witness,
+)
+from opequiv.tails import term_value
 
 HALF = F(1, 2)
 
@@ -495,6 +503,23 @@ def test_reflexivity_on_finite_diagonals(t):
 # The integer-pair envelope against the Fraction formula it replaces
 
 
+def _bounds_at(seq, n):
+    """Rational bounds for the n-th value (1-based), one Fraction per copy of
+    a tail term, as the value path computed them before it read each tail
+    argument once as integers; kept as the oracle."""
+    if n <= seq.head_len:
+        v = seq.values[n - 1]
+        return v, v
+    span = seq.span
+    arg = span.start + (n - seq.head_len - 1) // span.mult
+    v = term_value(span.model, arg)
+    if v is not None:
+        return v, v
+    m = span.model  # PowerSeq with fractional exponent
+    lo, hi = _pow_frac_bounds(F(arg), m.p)
+    return m.c / hi, m.c / lo
+
+
 def fraction_envelope(t, s, m):
     """_shift_envelope computed with one Fraction per piece, as it was before
     the running minimum became an integer pair; kept as the oracle."""
@@ -593,6 +618,27 @@ def test_integer_envelope_matches_the_fraction_formula():
     for key in (("finite", "envelope"), ("finite", None), ("tailed", "envelope"), ("tailed", None)):
         assert outcomes[key] >= checked // 25, outcomes
     assert outcomes["tailed", "refused"] >= 1, outcomes
+
+
+@given(envelope_cases(), st.integers(1, 12), st.integers(0, 14))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_value_bounds_match_the_fraction_bounds(case, lo, width):
+    # Every index, explicit or inside a tail span of any multiplicity, at any
+    # offset into a copy run: the integer bounds are the oracle's rationals.
+    for seq in case[:2]:
+        hi = lo + width if seq.span is not None else min(lo + width, seq.head_len)
+        got = _value_bounds(seq, lo, hi)
+        assert len(got) == max(0, hi - lo + 1)
+        for n, (ln, ld, hn, hd) in zip(range(lo, hi + 1), got):
+            assert (F(ln, ld), F(hn, hd)) == _bounds_at(seq, n)
+
+
+def test_value_bounds_are_exact_on_perfect_powers():
+    # 4^(-3/2) = 1/8 exactly; 2^(-3/2) lies strictly between its bounds.
+    seq = _Seq((), SeqSpan(PowerSeq(F(1), F(3, 2)), 2))
+    (ln2, ld2, hn2, hd2), _, (ln4, ld4, hn4, hd4) = _value_bounds(seq, 1, 3)
+    assert F(ln4, ld4) == F(hn4, hd4) == F(1, 8)
+    assert F(ln2, ld2) < F(hn2, hd2) and F(ln2, ld2) ** 2 < F(1, 8) < F(hn2, hd2) ** 2
 
 
 @st.composite

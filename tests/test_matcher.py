@@ -1,7 +1,11 @@
 """Tests for window-hypothesis verification and constructive bucket matching."""
 
+import json
+import random
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from fractions import Fraction as F
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from opequiv import (
     Finite,
     HypothesisViolationError,
     MatchMode,
+    MatchResult,
     SpecError,
     ZERO,
     build_matching,
@@ -265,7 +270,145 @@ def test_strict_success_forces_equal_totals(pair):
 
 
 # ---------------------------------------------------------------------------
+# Matching construction: the element-level matcher as the oracle
+
+
+def oracle_element_sdr(dom, codomain):
+    assignment = oracle_sdr([e[0] for e in dom], [e[0] for e in codomain], 1)
+    assert -1 not in assignment
+    return {el: codomain[slot] for el, slot in zip(dom, assignment)}
+
+
+def oracle_build_matching(tau, sigma, mode):
+    """The element-level build_matching the index form replaced: tuple-keyed
+    maps, a set for the fixed point and one sort of the pairs at the end."""
+    all_k = mode is STRICT
+    bad = find_hypothesis_violation(tau, sigma, all_k)
+    if bad is not None:
+        raise HypothesisViolationError(bad.side, bad.k, bad.length)
+    delta, N = tau.delta, tau.N
+    t_all = tau.elements()
+    s_all = sigma.elements()
+    t_deep = t_all if all_k else [e for e in t_all if e[0] >= N]
+    s_deep = s_all if all_k else [e for e in s_all if e[0] >= N]
+    phi = oracle_element_sdr(t_deep, s_all)
+    psi = oracle_element_sdr(s_deep, t_all)
+    psi_inv = {v: k for k, v in psi.items()}
+    e0 = set()
+    for t in t_all:
+        if t in psi_inv:
+            continue
+        while t not in e0:
+            e0.add(t)
+            s = phi.get(t)
+            if s not in psi:
+                break
+            t = psi[s]
+    f1 = [t for t in t_all if t not in e0]
+    f2 = [t for t in t_deep if t in e0]
+    f3 = [t for t in t_all if t in e0 and t not in phi]
+    g2 = {phi[t] for t in f2}
+    g3 = [s for s in s_all if s not in g2 and s not in psi]
+    pairs = [(t, psi_inv[t]) for t in f1] + [(t, phi[t]) for t in f2]
+    n_cross = min(len(f3), len(g3))
+    pairs += list(zip(f3[:n_cross], g3[:n_cross]))
+    n_pad = abs(len(f3) - len(g3))
+    if len(f3) < len(g3):
+        case = "II"
+        base = tau.counts.get(-1, 0)
+        pairs += [((-1, base + i), s) for i, s in enumerate(g3[n_cross:])]
+    elif len(g3) < len(f3):
+        case = "III"
+        base = sigma.counts.get(-1, 0)
+        pairs += [(t, (-1, base + i)) for i, t in enumerate(f3[n_cross:])]
+    else:
+        case = "I"
+    delta_prime = min(delta * delta, pow_delta(delta, N) / max(tau.M, sigma.M))
+    return MatchResult(case, tuple(sorted(pairs)), Finite(n_pad), delta_prime)
+
+
+def jittered_pair(rng):
+    """Bucket functions over buckets -3..6 that often satisfy the window
+    hypotheses: sigma moves some of tau's elements by one bucket each, and
+    one side may carry a shallow surplus; one pair in five is independent."""
+    delta = rng.choice([HALF, F(1, 3)])
+    n = rng.randint(1, 3)
+    m_bound = delta**-2  # the lowest bucket, -3, starts at delta^-2 = M
+    keys = rng.sample(range(-3, 7), rng.randint(0, 6))
+    t = {j: rng.randint(1, 6) for j in keys}
+    if rng.random() < 0.2:
+        s = {j: rng.randint(1, 6) for j in rng.sample(range(-3, 7), rng.randint(0, 6))}
+    else:
+        s = dict(t)
+        for j in keys:
+            moved = rng.randint(0, t[j])
+            to = min(6, max(-3, j + rng.choice((-1, 1))))
+            s[j] -= moved
+            s[to] = s.get(to, 0) + moved
+        surplus = t if rng.random() < 0.5 else s
+        for _ in range(rng.randint(0, 4)):
+            j = rng.randint(-3, n - 1)
+            surplus[j] = surplus.get(j, 0) + 1
+    return (
+        BucketFunction(delta=delta, counts=t, N=n, M=m_bound),
+        BucketFunction(delta=delta, counts=s, N=n, M=m_bound),
+    )
+
+
+def differential_outcome(tau, sigma, mode):
+    """Compare build_matching with the oracle; returns the case or "violation"."""
+    try:
+        expected = oracle_build_matching(tau, sigma, mode)
+    except HypothesisViolationError as e:
+        with pytest.raises(HypothesisViolationError) as got:
+            build_matching(tau, sigma, mode)
+        assert (got.value.side, got.value.k, got.value.length) == (e.side, e.k, e.length)
+        return "violation"
+    got = build_matching(tau, sigma, mode)
+    assert got == expected
+    assert json.dumps(got.pairing) == json.dumps(expected.pairing)
+    return got.case_tag
+
+
+@given(st.randoms(use_true_random=False), st.sampled_from([ONE_SIDED, STRICT]))
+@settings(max_examples=400)
+def test_build_matching_matches_the_element_level_oracle(rng, mode):
+    differential_outcome(*jittered_pair(rng), mode)
+
+
+def test_the_differential_sample_reaches_every_case():
+    # The pairs above reach each outcome, padding next to a real bucket -1
+    # on the padded side, and negative buckets in strict matches.
+    rng = random.Random(19)
+    seen = Counter()
+    for mode in (ONE_SIDED, STRICT):
+        for _ in range(300):
+            tau, sigma = jittered_pair(rng)
+            case = differential_outcome(tau, sigma, mode)
+            seen[mode, case] += 1
+            padded = {"II": tau, "III": sigma}.get(case)
+            if padded is not None and padded.counts.get(-1):
+                seen["pads after bucket -1", case] += 1
+            if case == "I" and mode is STRICT and min(tau.counts, default=0) < 0:
+                seen["strict, negative buckets"] += 1
+    assert all(seen[ONE_SIDED, case] >= 24 for case in ("violation", "I", "II", "III"))
+    assert seen[STRICT, "violation"] >= 24 and seen[STRICT, "I"] >= 24
+    assert seen["pads after bucket -1", "II"] >= 8 and seen["pads after bucket -1", "III"] >= 8
+    assert seen["strict, negative buckets"] >= 8
+
+
+# ---------------------------------------------------------------------------
 # Fixed point
+
+
+def claimed_map(dom, cod, all_k):
+    """The element map of ``_sdr``'s run-level claims: bucket j's ordinal i
+    goes to the element ``first slot + i`` of ``cod``, in (bucket, ordinal) order."""
+    keys = [j for j in sorted(dom.counts) if all_k or j >= dom.N]
+    cod_keys = sorted(cod.counts)
+    claims = _sdr(keys, [dom.counts[j] for j in keys], cod_keys, [cod.counts[j] for j in cod_keys])
+    cod_all = cod.elements()
+    return {(j, i): cod_all[slot + i] for j, slot in zip(keys, claims) for i in range(dom.counts[j])}
 
 
 def oracle_partition(tau, sigma, mode):
@@ -279,8 +422,8 @@ def oracle_partition(tau, sigma, mode):
     t_all, s_all = tau.elements(), sigma.elements()
     t_deep = t_all if all_k else [e for e in t_all if e[0] >= tau.N]
     s_deep = s_all if all_k else [e for e in s_all if e[0] >= sigma.N]
-    phi = _sdr(t_deep, s_all)
-    psi = _sdr(s_deep, t_all)
+    phi = claimed_map(tau, sigma, all_k)
+    psi = claimed_map(sigma, tau, all_k)
     t_deep_set, s_deep_set = set(t_deep), set(s_deep)
     e0 = set()
     while True:
@@ -414,16 +557,39 @@ def oracle_sdr(t_buckets, s_buckets, width):
     return out
 
 
+def claims_as_slots(t_buckets, s_buckets, width):
+    """``sdr_claims`` on the runs of two sorted bucket lists, one slot per
+    element (each bucket's interval from its first slot), or None."""
+    t_runs = [(j, len(list(run))) for j, run in groupby(t_buckets)]
+    s_runs = [(j, len(list(run))) for j, run in groupby(s_buckets)]
+    claims = _matchcore_py.sdr_claims(
+        [j for j, _ in t_runs], [c for _, c in t_runs],
+        [j for j, _ in s_runs], [c for _, c in s_runs], width,
+    )
+    if claims is None:
+        return None
+    return [slot + i for (_, c), slot in zip(t_runs, claims) for i in range(c)]
+
+
 @given(
     st.lists(st.integers(-4, 6), max_size=25).map(sorted),
     st.lists(st.integers(-4, 6), max_size=25).map(sorted),
     st.integers(0, 2),
 )
 @settings(max_examples=300)
-def test_sdr_match_matches_per_element_oracle(t_buckets, s_buckets, width):
-    assert _matchcore_py.sdr_match(t_buckets, s_buckets, width) == oracle_sdr(
-        t_buckets, s_buckets, width
-    )
+def test_sdr_claims_match_the_per_element_oracle(t_buckets, s_buckets, width):
+    expected = oracle_sdr(t_buckets, s_buckets, width)
+    got = claims_as_slots(t_buckets, s_buckets, width)
+    assert got == (None if -1 in expected else expected)
+
+
+def test_sdr_claims_edges():
+    # One claim per bucket, from the least free slot of its window on.
+    assert _matchcore_py.sdr_claims([0, 1], [2, 1], [0, 1, 2], [1, 1, 2], 1) == [0, 2]
+    assert _matchcore_py.sdr_claims([], [], [0], [3], 1) == []
+    assert _matchcore_py.sdr_claims([0], [1], [], [], 1) is None
+    # A bucket whose window holds too few free slots fails as a whole.
+    assert _matchcore_py.sdr_claims([0, 1], [2, 2], [0, 1], [2, 1], 1) is None
 
 
 def union_find_sdr(t_buckets, s_buckets, width):
@@ -455,7 +621,7 @@ def union_find_sdr(t_buckets, s_buckets, width):
     st.integers(0, 2),
 )
 @settings(max_examples=300)
-def test_sdr_match_matches_the_union_find_greedy(t_buckets, s_buckets, width):
-    assert _matchcore_py.sdr_match(t_buckets, s_buckets, width) == union_find_sdr(
-        t_buckets, s_buckets, width
-    )
+def test_sdr_claims_match_the_union_find_greedy(t_buckets, s_buckets, width):
+    expected = union_find_sdr(t_buckets, s_buckets, width)
+    got = claims_as_slots(t_buckets, s_buckets, width)
+    assert got == (None if -1 in expected else expected)

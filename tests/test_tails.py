@@ -31,6 +31,7 @@ from opequiv.tails import (
     ratio_root_upper,
     sparse_rule_count,
     sparse_rule_count_range,
+    term_bounds,
     term_cmp,
     term_value,
 )
@@ -355,6 +356,19 @@ models = st.one_of(
     ),
     st.just(FactorialSeq()),
 )
+
+
+@given(models, st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=8))
+def test_term_bounds_bracket_each_term(model, first, width):
+    # Exact wherever term_value is; strictly around an irrational term.
+    got = term_bounds(model, first, first + width)
+    assert len(got) == width + 1
+    for n, (ln, ld, hn, hd) in zip(range(first, first + width + 1), got):
+        v = term_value(model, n)
+        if v is not None:
+            assert F(ln, ld) == v == F(hn, hd)
+        else:
+            assert term_cmp(model, n, F(ln, ld)) > 0 > term_cmp(model, n, F(hn, hd))
 
 
 @given(models, st.integers(min_value=1, max_value=12), st.fractions(min_value=F(1, 10**4), max_value=F(10)))
