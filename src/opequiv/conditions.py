@@ -46,6 +46,7 @@ from .spectral import (
     merge_measures,
 )
 from .tails import (
+    ROOT_SCALE,
     FactorialSeq,
     GeometricSeq,
     PowerSeq,
@@ -53,11 +54,11 @@ from .tails import (
     _floor_log,
     bucket_index,
     factorial,
+    floor_log_ratio,
     least_true,
     pow_delta,
-    ratio_root_lower,
+    root_bracket,
     sparse_rule_count_range,
-    term_cmp,
     term_value,
 )
 
@@ -96,16 +97,69 @@ class ConditionOutcome:
 # (q, N) search, so each bucket's count is evaluated once per decision)
 
 
+class _SpanCounts:
+    """Unit-multiplicity counts of the terms of one (model, start) span:
+    ``cum[i]`` is the number in buckets <= ``first + i``, where ``first`` is
+    the first term's bucket. The list grows on demand, once per bucket."""
+
+    __slots__ = ("unit", "delta", "first", "cum")
+
+    def __init__(self, unit: SeqSpan, delta: Fraction, first: int):
+        self.unit, self.delta, self.first = unit, delta, first
+        self.cum: list[int] = []
+
+    def cum_range(self, lo: int, hi: int) -> list[int]:
+        """Unit count in buckets <= h, for h in lo..hi."""
+        first, cum = self.first, self.cum
+        top = first + len(cum)  # the first bucket not counted yet
+        if hi >= top:
+            cum.extend(self.unit.cum_range(self.delta, top, hi))
+        zeros = [0] * max(0, min(hi + 1, first) - lo)
+        return zeros + cum[max(lo - first, 0) : max(hi - first + 1, 0)]
+
+    def counted(self, h: int) -> Optional[int]:
+        """Unit count in buckets <= h, or None when the list does not reach h."""
+        i = h - self.first
+        if i < 0:
+            return 0
+        return self.cum[i] if i < len(self.cum) else None
+
+
+class _Tails:
+    """Tail facts the two sides of one decision share: one _SpanCounts per
+    (model, start), so a span repeated on one side or present on both is
+    counted once per bucket, and each span pair's (fwd, rev) depths by
+    widening and offset, which the N search and repeated probes read
+    again."""
+
+    def __init__(self, delta: Fraction):
+        self.delta = delta
+        self.spans: dict[tuple, _SpanCounts] = {}
+        self.depths: dict[tuple, tuple[Optional[int], Optional[int]]] = {}
+
+    def counts(self, ray: SeqRay) -> _SpanCounts:
+        """The counts of a sequence atom's span, made on first use."""
+        span = ray.span
+        key = (span.model, span.start)
+        got = self.spans.get(key)
+        if got is None:
+            unit = SeqSpan(span.model, span.start)
+            got = self.spans[key] = _SpanCounts(unit, self.delta, ray.first_bucket(self.delta))
+        return got
+
+
 class _Side:
     """One measure, split into finite data and infinite features.
 
     ``cum[i]`` is the finite count in buckets <= ``base + i``; every count
     below ``base`` is zero. The list grows on demand to the highest bucket
-    asked for, and each bucket's count is evaluated once.
+    asked for, and each bucket's count is evaluated once. Sequence spans are
+    counted in ``tails``, which the other side of the decision shares.
     """
 
-    def __init__(self, m: BucketMeasure):
+    def __init__(self, m: BucketMeasure, tails: Optional[_Tails] = None):
         self.delta = m.delta
+        self.tails = tails = _Tails(m.delta) if tails is None else tails
         self.finite_explicit = {
             j: c.n for j, c in m.buckets.items() if not isinstance(c, Aleph)
         }
@@ -119,8 +173,14 @@ class _Side:
             for a in m.atoms
             if not (isinstance(a, ConstantRay) and isinstance(a.count, Aleph))
         )
+        # (atom, its span's shared counts, or None for other atoms)
+        self.atom_counts = [
+            (a, tails.counts(a) if isinstance(a, SeqRay) else None) for a in self.finite_atoms
+        ]
         firsts = list(self.finite_explicit)
-        firsts.extend(a.first_bucket(self.delta) for a in self.finite_atoms)
+        firsts.extend(
+            a.first_bucket(self.delta) if c is None else c.first for a, c in self.atom_counts
+        )
         self.base = min(firsts) - 1 if firsts else 0
         # Buckets where a feature begins; fixed per side, so found once.
         self.structural = (
@@ -143,8 +203,14 @@ class _Side:
         total = list(accumulate(explicit, initial=self._explicit_run))[1:]
         if total:
             self._explicit_run = total[-1]
-        for a in self.finite_atoms:
-            total = list(map(add, total, _atom_cum_range(a, lo, h, self.delta)))
+        for a, c in self.atom_counts:
+            if c is None:
+                counts = _atom_cum_range(a, lo, h, self.delta)
+            else:
+                counts = c.cum_range(lo, h)
+                if a.span.mult > 1:
+                    counts = [a.span.mult * n for n in counts]
+            total = list(map(add, total, counts))
         self.cum.extend(total)
 
     def cum_range(self, lo: int, hi: int) -> list[int]:
@@ -264,23 +330,32 @@ def _scan_segment(
 # the least depth h0 in [h_lo, h_top] whose envelope bound certifies
 #     y.count_ge(delta^(h+q+1)) - x.count_ge(delta^(h+1)) >= offset
 # for EVERY h >= h0, by sandwiching the exact floor counts between continuous
-# envelopes whose gap is nondecreasing in h. All coefficients are exact
-# rationals; count evaluations are exact integers.
+# envelopes whose gap is nondecreasing in h. All coefficients and count
+# evaluations are exact integers.
 #
 # The bound is monotone in h0, so after h_lo and h_top one galloping search
-# between them finds that depth, with one count per depth tried: both counts
-# only grow with h0 (y's is positive once its first term clears the
-# threshold), and each family's bound_ok depends on nx (x's count at h0)
+# between them finds that depth, with at most one count per depth tried:
+# both counts only grow with h0 (y's is positive once h0 + q reaches its
+# first bucket), and each family's bound_ok depends on nx (x's count at h0)
 # alone and is nondecreasing in it: its slope, eps for power spans and
 # ay - ax for geometric and factorial spans, is checked >= 0 before any count
-# is made. A family added here must keep that property.
+# is made. A family added here must keep that property. Given x's and y's
+# shared counts, x's count is read from its array wherever that already
+# reaches h0, and y's first bucket from them.
 #
 # _span_dom(x, y, q, delta, h_from, offset) is the bound at the one depth
 # h_from + 47 * max(4, q), the deepest rung, where _tail_certificate reads it.
 
 
 def _span_depth(
-    x: SeqSpan, y: SeqSpan, q: int, delta: Fraction, h_lo: int, h_top: int, offset: int
+    x: SeqSpan,
+    y: SeqSpan,
+    q: int,
+    delta: Fraction,
+    h_lo: int,
+    h_top: int,
+    offset: int,
+    counts: Optional[tuple[_SpanCounts, _SpanCounts]] = None,
 ) -> Optional[int]:
     mx, my = x.model, y.model
     sx, sy = x.start, y.start
@@ -288,37 +363,55 @@ def _span_depth(
     c0 = ay * sy - ax * sx + ax  # floor/start correction, same in every family
 
     def least_depth(bound_ok) -> Optional[int]:
+        if counts is None:
+            x_counts, y_first = None, y.first_bucket(delta)
+        else:
+            x_counts, y_first = counts[0], counts[1].first
+
         def holds(h0: int) -> bool:
-            nx = x.count_ge(pow_delta(delta, h0 + 1)) // ax
-            # y's count is positive once its first term clears the threshold.
-            has_y = term_cmp(y.model, sy, pow_delta(delta, h0 + q + 1)) >= 0
-            return nx >= 1 and has_y and bound_ok(nx)
+            if h0 + q < y_first:  # y has no value >= delta^(h0+q+1) yet
+                return False
+            nx = None if x_counts is None else x_counts.counted(h0)
+            if nx is None:
+                nx = x.count_ge(pow_delta(delta, h0 + 1)) // ax
+            return nx >= 1 and bound_ok(nx)
 
         if holds(h_lo):
             return h_lo
         return least_true(holds, h_lo, h_top) if holds(h_top) else None
 
+    def big_r() -> tuple[int, int]:
+        """(cy / cx) * delta^(-q), the y/x ratio of the envelopes' scales,
+        as an integer ratio (q >= 0)."""
+        return (
+            my.c.numerator * mx.c.denominator * delta.denominator**q,
+            my.c.denominator * mx.c.numerator * delta.numerator**q,
+        )
+
     if isinstance(mx, PowerSeq) and isinstance(my, PowerSeq) and mx.p == my.p:
-        p = mx.p
-        big_r = (Fraction(my.c) / Fraction(mx.c)) * pow_delta(delta, -q)
-        rho_lo = ratio_root_lower(big_r**p.denominator, p.numerator)
-        eps = ay * rho_lo - ax
+        a, b = mx.p.numerator, mx.p.denominator
+        rn, rd = big_r()
+        # rho = rho_n / rho_d <= big_r^(b/a), exact when a = 1.
+        if a == 1:
+            rho_n, rho_d = rn**b, rd**b
+        else:
+            rho_n, rho_d = root_bracket(rn**b, rd**b, a)[0], ROOT_SCALE
+        eps = ay * rho_n - ax * rho_d  # (ay*rho - ax) * rho_d
         if eps <= 0:
             return None
+        need = (offset + c0) * rho_d
 
         # gap(h) >= A(h) * (ay*rho - ax) - c0 with A the continuous index
         # envelope of x and rho the constant y/x envelope ratio; A only grows.
         def ok(nx: int) -> bool:
-            a_env = Fraction(nx + sx - 1)
-            return a_env * eps - c0 >= offset
+            return (nx + sx - 1) * eps >= need
 
         return least_depth(ok)
 
     if isinstance(mx, GeometricSeq) and isinstance(my, GeometricSeq) and mx.r == my.r:
         if ay < ax:
             return None
-        big_r = (Fraction(my.c) / Fraction(mx.c)) * pow_delta(delta, -q)
-        x_lo = _floor_log(big_r, 1 / mx.r)
+        x_lo = floor_log_ratio(*big_r(), mx.r.denominator, mx.r.numerator)  # log_{1/r} big_r
 
         # gap(h) >= (ay-ax)*Y(h) + ay*floor(log_{1/r} R) - c0 with Y the
         # continuous index envelope of x, nondecreasing in h.
@@ -472,20 +565,33 @@ def _tail_depth(
             return note
         # A factorial span's bound of mult per bucket only holds deep: while
         # consecutive factorials differ by less than 1/delta they share
-        # buckets (at delta 1/100 up to about bucket 78), so sparse atoms
-        # keep _locate. The others' bound holds from their first bucket on,
-        # so past h_from each bucket of a is paid by one of b's.
-        return None if any(k == "sparse" for k, _ in a.densities) else (h_from, None)
+        # buckets (at delta 1/100 up to about bucket 78), so such spans keep
+        # _locate. The others' bound holds from their first bucket on (a
+        # SparseRay's rule indices are distinct, so it never holds more than
+        # one value in a bucket), so past h_from each bucket of a is paid by
+        # one of b's.
+        if any(isinstance(x.model, FactorialSeq) for x in a.spans):
+            return None
+        return h_from, None
     # U(h) <= 0 for h >= fwd, and V(m) >= 0 for m - q >= rev; the deepest
-    # rungs are _tail_certificate's.
+    # rungs are _tail_certificate's. h_from and q fix the rungs, so the
+    # answer is kept for the probes that ask again.
     h_scan = _horizon(a, b, q)
-    x, y, reach = a.spans[0], b.spans[0], 47 * max(4, q)
-    fwd = _span_depth(x, y, q, a.delta, h_from, h_scan + reach, off)
-    if fwd is not None:
-        rev = _span_depth(y, x, q, a.delta, h_from - q, h_scan - q + reach, -off)
-        if rev is not None:
-            depth = max(fwd, rev + q) + 1
-            return (depth, 0) if depth <= h_scan else None
+    x, y = a.spans[0], b.spans[0]
+    (_, cx), (_, cy) = a.atom_counts[0], b.atom_counts[0]
+    key = (cx, x.mult, cy, y.mult, q, off, h_from)
+    depths = a.tails.depths.get(key)
+    if depths is None:
+        reach = 47 * max(4, q)
+        fwd = _span_depth(x, y, q, a.delta, h_from, h_scan + reach, off, (cx, cy))
+        rev = None
+        if fwd is not None:
+            rev = _span_depth(y, x, q, a.delta, h_from - q, h_scan - q + reach, -off, (cy, cx))
+        depths = a.tails.depths[key] = (fwd, rev)
+    fwd, rev = depths
+    if rev is not None:
+        depth = max(fwd, rev + q) + 1
+        return (depth, 0) if depth <= h_scan else None
     return _span_note(a, b)
 
 
@@ -712,7 +818,8 @@ def _prepare(a: BucketMeasure, b: BucketMeasure) -> tuple[_Side, _Side]:
     if a.delta != b.delta:
         raise DeltaMismatchError(f"measures use different bases {a.delta} and {b.delta}")
     a, b = _align_seq_rays(a, b)
-    return _Side(a), _Side(b)
+    tails = _Tails(a.delta)
+    return _Side(a, tails), _Side(b, tails)
 
 
 # The search takes certification to be monotone in q (widening only adds

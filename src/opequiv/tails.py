@@ -59,11 +59,6 @@ def pow_delta(delta: Fraction, j: int) -> Fraction:
     return Fraction(delta.denominator**-j, delta.numerator**-j)
 
 
-def _log2(x) -> float:
-    # Integer logs: float(x) may under- or overflow for extreme fractions.
-    return math.log2(x.numerator) - math.log2(x.denominator)
-
-
 def least_true(pred: Callable[[int], bool], lo: int, hi: Optional[int] = None) -> int:
     """The least x > lo with pred(x), for a pred that is False up to some
     integer and True from there on.
@@ -98,13 +93,20 @@ def _floor_log(x: Union[int, Fraction], base: Union[int, Fraction]) -> int:
     bn, bd = base.numerator, base.denominator
     if u <= 0 or bn <= bd:
         raise ValueError(f"floor_log needs x > 0 and base > 1, got {x}, {base}")
+    return floor_log_ratio(u, v, bn, bd)
+
+
+def floor_log_ratio(u: int, v: int, bn: int, bd: int) -> int:
+    """floor(log_(bn/bd)(u/v)) for positive integers with bn > bd, as
+    _floor_log; neither ratio needs to be in lowest terms."""
 
     def at_most(d: int) -> bool:  # base^d <= x
         if d >= 0:
             return bn**d * v <= u * bd**d
         return bd**-d * v <= u * bn**-d
 
-    guess = math.floor(_log2(x) / _log2(base))
+    # Integer logs: a float ratio may under- or overflow for extreme values.
+    guess = math.floor((math.log2(u) - math.log2(v)) / (math.log2(bn) - math.log2(bd)))
     if at_most(guess):
         return least_true(lambda d: not at_most(d), guess) - 1
     return -least_true(lambda d: at_most(-d), -guess)

@@ -4,6 +4,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import accumulate, islice
+from operator import add
 
 import pytest
 import test_acceptance as acceptance
@@ -1176,9 +1177,9 @@ def depth_certificate_cases(draw):
     two atoms of any kind on both sides; one same-family span on each side,
     each with its own constant, start and multiplicity; spans 1/n against
     (1 + tiny)/(2^q n), from a later start, whose bound first holds deep; or
-    a sparse ray, maybe beside a constant ray, against constant rays that
-    cover its per-bucket bound, which holds only deep. Or one side has no
-    tail. Each side has 0-4 explicit buckets and maybe aleph0 at -1; q is
+    a factorial span, maybe beside a constant ray, against constant rays
+    that cover its per-bucket bound, which holds only deep. Or one side has
+    no tail. Each side has 0-4 explicit buckets and maybe aleph0 at -1; q is
     1..8."""
     q = draw(st.integers(1, 8))
 
@@ -1191,7 +1192,7 @@ def depth_certificate_cases(draw):
     def span(model, starts, mult=None):
         return [SeqRay(SeqSpan(model, draw(starts), mult or draw(st.integers(1, 3))))]
 
-    kind = draw(st.sampled_from(["identical", "spans", "deep spans", "sparse density", "one tail"]))
+    kind = draw(st.sampled_from(["identical", "spans", "deep spans", "factorial density", "one tail"]))
     if kind == "spans":
         family = draw(st.sampled_from(["power", "geometric", "factorial"]))
         if family == "power":
@@ -1211,10 +1212,11 @@ def depth_certificate_cases(draw):
         mult = draw(st.integers(1, 3))
         t_atoms = span(PowerSeq(c, F(1)), st.integers(1, 5), mult)
         s_atoms = span(PowerSeq(c * (1 + tiny) / 2**q, F(1)), st.integers(10, 20), mult)
-    elif kind == "sparse density":
+    elif kind == "factorial density":
         rays = st.builds(ConstantRay, st.integers(-4, 14), st.integers(1, 3).map(Finite))
-        t_atoms = [SparseRay(draw(st.integers(0, 14)))] + draw(st.lists(rays, max_size=1))
-        cap = 1 + sum(x.count.n for x in t_atoms[1:])
+        t_atoms = span(FactorialSeq(), st.integers(1, 6), draw(st.integers(1, 2)))
+        t_atoms += draw(st.lists(rays, max_size=1))
+        cap = t_atoms[0].span.mult + sum(x.count.n for x in t_atoms[1:])
         s_atoms = [ConstantRay(draw(st.integers(-4, 14)), Finite(cap + draw(st.integers(0, 1))))]
     else:
         t_atoms = draw(st.lists(shared_atoms, min_size=1, max_size=2))
@@ -1373,6 +1375,105 @@ def test_certified_factorial_prefix_counts_stop_past_the_last_explicit_bucket(mo
     last = max(sides[0].structural + sides[1].structural)
     assert conditions._horizon(*sides, 16) > 600
     assert all(x.base + len(x.cum) - 1 < last + 2 * 16 + 4 for x in sides)
+
+
+# ---------------------------------------------------------------------------
+# Tail counts shared by the two sides of a decision
+
+
+@st.composite
+def shared_span_sides(draw):
+    """(T, S, delta, q): one to three spans of one family, power, geometric
+    or factorial, each side taking one to three of them, a span maybe twice
+    and maybe on both sides, each copy with its own multiplicity 1..3,
+    beside 0-3 explicit buckets; delta 1/2, 1/10 or 1/100 and q 1..16."""
+    delta = draw(st.sampled_from([HALF, F(1, 10), F(1, 100)]))
+    family = draw(st.sampled_from(["power", "geometric", "factorial"]))
+    if family == "power":
+        p = draw(st.sampled_from([F(1), F(5, 2), F(3)]))
+        model = st.builds(PowerSeq, span_consts, st.just(p))
+    elif family == "geometric":
+        model = st.builds(GeometricSeq, span_consts, st.sampled_from([F(1, 3), F(3, 5), F(9, 10)]))
+    else:
+        model = st.just(FactorialSeq())
+    pool = draw(st.lists(st.tuples(model, st.integers(1, 6)), min_size=1, max_size=3))
+
+    def side():
+        picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        atoms = tuple(SeqRay(SeqSpan(m, start, draw(st.integers(1, 3)))) for m, start in picks)
+        buckets = draw(st.dictionaries(st.integers(-4, 14), st.integers(1, 3).map(Finite), max_size=3))
+        return meas(buckets, atoms, delta)
+
+    return side(), side(), delta, draw(st.integers(1, 16))
+
+
+@given(
+    shared_span_sides(),
+    st.lists(st.tuples(st.booleans(), st.integers(-20, 60), st.integers(0, 30)), min_size=1, max_size=6),
+    st.integers(-10, 40),
+    st.integers(0, 120),
+    st.integers(-300, 300),
+)
+@settings(max_examples=150, deadline=None)
+def test_shared_tail_counts_match_the_per_atom_counts(case, queries, h_lo, width, offset):
+    t, s, delta, q = case
+    store = conditions._Tails(delta)
+    a, b = conditions._Side(t, store), conditions._Side(s, store)
+    # Each side's array is the per-atom sum, in whatever order the sides grow.
+    for on_a, lo, length in queries:
+        side, m = (a, t) if on_a else (b, s)
+        hi = lo + length
+        expected = [sum(c.n for j, c in m.buckets.items() if j <= h) for h in range(lo, hi + 1)]
+        for atom in m.atoms:
+            expected = list(map(add, expected, conditions._atom_cum_range(atom, lo, hi, delta)))
+        assert side.cum_range(lo, hi) == expected
+    # The depths read from the shared counts, wherever they reach, are the
+    # ones made from scalar counts alone.
+    for (x, cx), (y, cy) in [(u, v) for u in a.atom_counts for v in b.atom_counts]:
+        for u, v, counts, off in ((x, y, (cx, cy), offset), (y, x, (cy, cx), -offset)):
+            expected = conditions._span_depth(u.span, v.span, q, delta, h_lo, h_lo + width, off)
+            got = conditions._span_depth(u.span, v.span, q, delta, h_lo, h_lo + width, off, counts)
+            assert got == expected
+
+
+@pytest.mark.parametrize(
+    "t, s, expected",
+    [
+        # The benchmark's factorial-multiplicity pair: 1/n! once against twice.
+        (
+            aleph_plus_diagonals(FactorialSeq()),
+            aleph_plus_diagonals(FactorialSeq(), FactorialSeq()),
+            conditions.ConditionOutcome(q_used=16, violation=conditions.WindowViolation("right", 16, 41)),
+        ),
+        # Identical generators: 1/n twice on each side, S with two values more.
+        (
+            aleph_plus_diagonals(PowerSeq(F(1), F(1)), PowerSeq(F(1), F(1))),
+            modulus_data(
+                DirectSum(
+                    ScaledIdentity(F(1), ALEPH0),
+                    DirectSum(
+                        CompactDiagonal((F(2), F(1)), PowerSeq(F(1), F(1))),
+                        CompactDiagonal((), PowerSeq(F(1), F(1))),
+                    ),
+                ),
+                HALF,
+            ),
+            conditions.ConditionOutcome(delta_prime=HALF, q_used=1),
+        ),
+    ],
+    ids=["factorial-multiplicity", "identical-generators"],
+)
+def test_a_span_is_counted_once_per_bucket_in_a_decision(monkeypatch, t, s, expected):
+    counted = []
+    real = tails.SeqSpan.cum_range
+
+    def recording(self, delta, lo, hi):
+        counted.extend((self.model, self.start, h) for h in range(lo, hi + 1))
+        return real(self, delta, lo, hi)
+
+    monkeypatch.setattr(tails.SeqSpan, "cum_range", recording)
+    assert condition_s_outcome(t, s, q_max=16) == expected
+    assert counted and len(set(counted)) == len(counted)
 
 
 # ---------------------------------------------------------------------------
