@@ -128,14 +128,15 @@ class _SpanCounts:
 class _Tails:
     """Tail facts the two sides of one decision share: one _SpanCounts per
     (model, start), so a span repeated on one side or present on both is
-    counted once per bucket, and each span pair's (fwd, rev) depths by
-    widening and offset, which the N search and repeated probes read
-    again."""
+    counted once per bucket, each span pair's (fwd, rev) depths by
+    widening and offset, and the sparse scan depth by widening, which the N
+    search and repeated probes read again."""
 
     def __init__(self, delta: Fraction):
         self.delta = delta
         self.spans: dict[tuple, _SpanCounts] = {}
         self.depths: dict[tuple, tuple[Optional[int], Optional[int]]] = {}
+        self.sparse_depths: dict[int, int] = {}
 
     def counts(self, ray: SeqRay) -> _SpanCounts:
         """The counts of a sequence atom's span, made on first use."""
@@ -555,10 +556,22 @@ def _tail_depth(
     no certificate can apply, whatever the scan finds: the span pair's bound
     fails even at its deepest rung, or b does not cover a's density. None
     when the certificate needs the scan to the horizon, or its depth lies
-    past it. Every explicit bucket and every ray start lies behind h_from."""
+    past it. The depth is at most h_from, behind which every explicit bucket
+    and every ray start lies; identical generators take the deepest of the
+    last explicit buckets and the infinite buckets' cuts, which may lie far
+    short of a shared ray's start."""
     off = a.explicit_total - b.explicit_total
     if a.generator_key == b.generator_key:
-        return h_from, off  # see _tail_certificate
+        # The shared generator only lowers U and raises V (see
+        # _tail_certificate), so U(h) <= |Ea| - Eb(h+q) = D once h + q
+        # reaches b's last explicit bucket, and V(m) >= Ea(m) - |Eb| = D once
+        # m reaches a's. The depth also lies past each infinite bucket's cut,
+        # a's [j, j] or b's [j - q, j + q], so the probe's last segment
+        # starts where _locate's does, and its V-minimum is at least D
+        # exactly when _locate's is: the probe certifies when _locate does.
+        ends = [j + q + 1 for j, _ in a.aleph_points + b.aleph_points]
+        ends += [*a.finite_explicit, *(j - q for j in b.finite_explicit)]
+        return min(h_from, max(ends, default=h_from)), off
     if not _single_spans(a, b):
         note = _density_note(a, b)
         if note is not None:
@@ -620,7 +633,11 @@ def _analytic_violation(
 
 def _sparse_depth(a: _Side, b: _Side, q: int) -> int:
     """Scan depth at which factorial-type cluster gaps exceed the widening,
-    so count-rate mismatches between sparse tails become visible windows."""
+    so count-rate mismatches between sparse tails become visible windows.
+    It is the same for both directions, so the decision's store keeps it."""
+    deep = a.tails.sparse_depths.get(q)
+    if deep is not None:
+        return deep
     marks = 3 * q + 64
     deep = 0
     for side in (a, b):
@@ -631,6 +648,7 @@ def _sparse_depth(a: _Side, b: _Side, q: int) -> int:
             elif isinstance(x, SparseRay):
                 v = Fraction(1, factorial(marks))
                 deep = max(deep, bucket_index(v, side.delta))
+    a.tails.sparse_depths[q] = deep
     return deep
 
 
@@ -686,6 +704,9 @@ def _scan_to(
         if cut_lo > j:
             segments.append((j, min(cut_lo - 1, top)))
         j = max(j, cut_hi + 1)
+    # a holds nothing at or below its base, so no window there fails; only
+    # the last segment's V-minimum is read.
+    segments = [s for s in segments[:-1] if s[1] > a.base] + segments[-1:]
     v_last = 0
     for seg_lo, seg_hi in segments:
         got, v_min = _scan_segment(a, b, q, seg_lo, seg_hi, k_min)

@@ -1378,6 +1378,131 @@ def test_certified_factorial_prefix_counts_stop_past_the_last_explicit_bucket(mo
 
 
 # ---------------------------------------------------------------------------
+# Identical generators hold from the last explicit or infinite bucket
+
+
+def depth_from_h_from(monkeypatch):
+    """Make identical generators certify from h_from, where every explicit
+    bucket and every feature lies behind: the reference depth."""
+    real = conditions._tail_depth
+
+    def tail_depth(a, b, q, h_from):
+        if a.generator_key == b.generator_key:
+            return h_from, a.explicit_total - b.explicit_total
+        return real(a, b, q, h_from)
+
+    monkeypatch.setattr(conditions, "_tail_depth", tail_depth)
+
+
+def aleph_after_surplus():
+    # T's two extra values at 10 lie below the infinite bucket at 50 that
+    # both sides share; past its cut V is 2 + q, the explicit surplus D = 2.
+    ray = (ConstantRay(0, Finite(1)),)
+    return meas({10: Finite(2), 50: ALEPH0}, ray), meas({50: ALEPH0}, ray)
+
+
+def test_identical_generators_scan_past_the_last_infinite_bucket():
+    t, s = aleph_after_surplus()
+    out = condition_s_outcome(t, s, 8)
+    assert (out.q_used, out.delta_prime) == (2, F(1, 4))
+    a, b = conditions._prepare(t, s)
+    for q in (2, 3, 5):
+        h_from = conditions._structural_horizon(a, b, q)
+        assert conditions._tail_depth(a, b, q, h_from) == (50 + q + 1, 2)
+        assert conditions._check_direction(a, b, q, None) is None
+        assert conditions._locate(a, b, q, None) is None
+
+
+def test_a_depth_short_of_the_last_cut_refuses_what_h_from_certifies(monkeypatch):
+    # Stopping at the last explicit bucket, or at the end of b's cut
+    # [50 - q, 50 + q], leaves the scan's last segment below the infinite
+    # bucket, whose V-minimum 0 lies below D = 2, so every probe fails.
+    t, s = aleph_after_surplus()
+    real = conditions._tail_depth
+
+    def explicit_only(a, b, q, h_from):
+        ends = [*a.finite_explicit, *(j - q for j in b.finite_explicit)]
+        return max(ends, default=h_from), real(a, b, q, h_from)[1]
+
+    def inside_the_cut(a, b, q, h_from):
+        depth, bound = real(a, b, q, h_from)
+        return depth - 1, bound
+
+    for tail_depth in (explicit_only, inside_the_cut):
+        monkeypatch.setattr(conditions, "_tail_depth", tail_depth)
+        assert condition_s_outcome(t, s, 8).q_used == 8
+
+
+@pytest.mark.parametrize("q_max", [32, 40, 48])
+def test_shifted_block_probes_stay_below_the_shared_ray(monkeypatch, q_max):
+    # The shape of test_shifted_block_needs_two_widenings: the geometric
+    # ray both sides share starts past every explicit bucket plus q_max, and
+    # no probe or q_max check counts it (h_from lies past its start).
+    block = [3, 1, 6, 2, 5, 5, 1, 4, 2, 6, 3, 1, 2, 4, 6, 1]
+    k0, shift = q_max + 6, q_max - 1
+    start = k0 + shift + len(block) + q_max + 8
+    ray = (GeometricRay(start, 2),)
+
+    def side(at):
+        return meas({-1: ALEPH0, **{at + i: Finite(c) for i, c in enumerate(block)}}, ray)
+
+    reached = []
+    count = conditions._atom_cum_range
+    monkeypatch.setattr(
+        conditions, "_atom_cum_range", lambda x, lo, hi, d: reached.append(hi) or count(x, lo, hi, d)
+    )
+    t, s = side(k0), side(k0 + shift)
+    assert condition_s_outcome(t, s, q_max).q_used == q_max - 1
+    assert condition_s_tilde_outcome(t, s, q_max, 16).q_used == q_max - 1
+    assert reached and max(reached) < start
+
+
+shared_tail_atoms = st.one_of(
+    st.builds(ConstantRay, st.integers(-4, 20), st.integers(1, 3).map(Finite)),
+    st.builds(GeometricRay, st.integers(0, 20), st.integers(2, 3)),
+    st.builds(SparseRay, st.integers(0, 14)),
+    st.builds(
+        lambda model, start, mult: SeqRay(SeqSpan(model, start, mult)),
+        st.one_of(
+            st.builds(PowerSeq, span_consts, st.sampled_from([F(1), F(5, 2)])),
+            st.builds(GeometricSeq, span_consts, st.sampled_from([F(1, 3), F(9, 10)])),
+            st.just(FactorialSeq()),
+        ),
+        st.integers(1, 6),
+        st.integers(1, 2),
+    ),
+)
+
+
+@st.composite
+def identical_tail_pairs(draw):
+    """(T, S, q_max, n_max): the same one or two finite tail atoms on both
+    sides, 0-6 explicit finite buckets each in -4..20, and aleph0 buckets
+    on either side, among the explicit ones or past them up to 40."""
+    atoms = tuple(draw(st.lists(shared_tail_atoms, min_size=1, max_size=2)))
+
+    def side():
+        buckets = draw(st.dictionaries(st.integers(-4, 20), st.integers(1, 4).map(Finite), max_size=6))
+        for j in draw(st.lists(st.integers(-6, 40), max_size=2)):
+            buckets[j] = ALEPH0
+        return meas(buckets, atoms)
+
+    return side(), side(), draw(st.integers(1, 10)), draw(st.integers(0, 30))
+
+
+@given(identical_tail_pairs())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_identical_generator_depth_changes_no_outcome(case):
+    t, s, q_max, n_max = case
+    got = outcome_or_note(condition_s_outcome, t, s, q_max)
+    got_tilde = outcome_or_note(condition_s_tilde_outcome, t, s, q_max, n_max)
+    with pytest.MonkeyPatch.context() as mp:
+        depth_from_h_from(mp)
+        assert outcome_or_note(condition_s_outcome, t, s, q_max) == got
+        assert outcome_or_note(condition_s_tilde_outcome, t, s, q_max, n_max) == got_tilde
+
+
+# ---------------------------------------------------------------------------
 # Tail counts shared by the two sides of a decision
 
 

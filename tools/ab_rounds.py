@@ -14,6 +14,8 @@ For each side it prints the best-of ``ops_per_s`` (ops over the sum of each
 operation's fastest time, as ``perfbench/run.py`` reports it) and the median
 of those fastest times, then in how many rounds the change's round was the
 faster, and whether the two sides' first-round reports agree byte for byte.
+A table follows: each operation's fastest time on each side, and the
+change's over the parent's.
 
 Why interleave: back-to-back runs on a shared machine can land in machine
 phases about 1.6x apart, more than most changes being measured. Rounds a
@@ -133,6 +135,10 @@ def main(argv=None) -> int:
     print(f"change: {n / sum(change.best()) / (n / sum(parent.best())) - 1:+.1%} ops_per_s; "
           f"faster in {faster} of {args.rounds} rounds")
     print(f"first-round reports: {'identical' if parent.digest == change.digest else 'DIFFERENT'}")
+    width = max(map(len, parent.ops))
+    print(f"\n{'operation':<{width}}  parent ms  change ms  change/parent")
+    for name, p, c in zip(parent.ops, parent.best(), change.best()):
+        print(f"{name:<{width}}  {p * 1000.0:9.3f}  {c * 1000.0:9.3f}  {c / p:13.3f}")
     return 0
 
 
