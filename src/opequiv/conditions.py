@@ -14,9 +14,9 @@ integer-valued and decided exactly: finite stretches by the matcher's window
 scan (``_matchcore_py.first_window``, lexicographically first window) over
 count arrays, unbounded tails by closed-form certificates on the symbolic tail
 atoms. Probes only ask whether a widening certifies. Where a certificate
-holds from a depth (identical tail generators, one same-family span on each
-side, or a's bounded per-bucket density against b's constant rays), a probe
-scans only up to that depth, often the last explicit bucket plus the
+holds from a depth (a's tail generators among b's, one same-family span on
+each side, or a's bounded per-bucket density against b's constant rays), a
+probe scans only up to that depth, often the last explicit bucket plus the
 widening; where no certificate can apply it does not scan; otherwise it
 scans to a fixed horizon past it.
 A direction the q_max check does not certify is located as before: scanned
@@ -310,15 +310,36 @@ def _scan_segment(
     The window violates iff U(h) > V(k-1), where U(h) = Ca(h) - Cb(h+q) and
     V(m) = Ca(m) - Cb(m-q); the segment construction keeps every consulted
     range clear of infinite buckets. Returns (lexicographically first
-    violation or None, min of V over [k_lo - 1, seg_hi]).
+    violation or None, min of V over [k_lo - 1, seg_hi]); when a violation
+    at k_lo ends a long segment's scan early, the second value is
+    V(k_lo - 1) alone.
     """
     k_lo = seg_lo if k_min is None else max(seg_lo, k_min)
     if k_lo > seg_hi:
         return None, 0
-    ca = a.cum_range(k_lo - 1, seg_hi)
-    cb = b.cum_range(k_lo - 1 - q, seg_hi + q)
-    v = list(map(sub, ca, cb))  # V(m) for m in [k_lo - 1, seg_hi]
-    hit = first_window(list(map(sub, ca[1:], cb[2 * q + 1 :])), v)
+    # The counts are read over prefixes that double each time, and the
+    # windows that start at k_lo are tried on each but the last, which the
+    # full scan covers: one that fails is the lexicographically first
+    # window, found before the counts grow out to seg_hi. A short segment,
+    # or one already counted to its end, is read as one prefix.
+    top, width = k_lo - 1, 2 * q + 16
+    grown = seg_hi - a.base < len(a.cum) and seg_hi + q - b.base < len(b.cum)
+    if grown or seg_hi - top <= 2 * width:
+        width = seg_hi - top
+    lo, u, v = top, [], []  # the first prefix also reads V(k_lo - 1)
+    while top < seg_hi:
+        end = min(top + width, seg_hi)
+        ca = a.cum_range(lo, end)
+        cb = b.cum_range(lo - q, end + q)
+        v += map(sub, ca, cb)  # V(m) for m in [lo, end]
+        i = top + 1 - lo
+        part = list(map(sub, ca[i:], cb[i + 2 * q :]))  # U(h) for h in [top + 1, end]
+        got = first_window(part, v[:1]) if end < seg_hi else None
+        if got is not None:
+            return (k_lo, len(u) + got[1]), v[0]
+        u += part
+        lo, top, width = end + 1, end, 2 * width
+    hit = first_window(u, v)
     if hit is not None:
         hit = (k_lo + hit[0], hit[1])
     return hit, min(v)
@@ -493,27 +514,37 @@ def _tail_certificate(
     a: _Side, b: _Side, q: int, h_scan: int, k_min: Optional[int], v_last: int
 ) -> Optional[str]:
     """None when no window with content beyond h_scan can violate domination;
-    an explanatory string when no certificate applies. ``a`` has tail atoms."""
-    # An identical generator G adds G(h) - G(h+q) <= 0 to U(h) and
-    # G(m) - G(m-q) >= 0 to V(m); past h_scan the explicit buckets are all
-    # counted, so U <= D <= V there with D = |Ea| - |Eb|. v_last >= D, or no
-    # window start at or below h_scan, then rules out every deep window.
+    an explanatory string when no certificate applies. ``a`` has tail atoms.
+    ``v_last`` is the last scanned segment's V-minimum, read up to
+    _cover_depth's depth where it is set, else up to h_scan."""
+    # Covered generators: write b = b' + X, X being b's tail atoms beyond
+    # a's. Each widened window of b holds X[k-q..h+q] >= 0 more than that of
+    # b', so a window of (a, b) fails only if the same window of (a, b')
+    # fails. a and b' have identical generators G, and G adds
+    # G(h) - G(h+q) <= 0 to U(h) and G(m) - G(m-q) >= 0 to V(m); past the
+    # depth the explicit buckets are all counted, so U <= D <= V there for
+    # (a, b'), with D = |Ea| - |Eb|. The scan's V is no larger than that of
+    # (a, b'), so its minimum up to the depth >= D, or no window start at or
+    # below the depth, rules out every deeper window. With X not empty, V
+    # may fall below D past the depth, so the minimum is read at the depth,
+    # where the probe reads it.
+    off = a.explicit_total - b.explicit_total
+    depth = _cover_depth(a, b, q)
+    covered = depth is not None and ((k_min is not None and k_min > depth) or v_last >= off)
     if a.generator_key == b.generator_key:
-        no_scanned_start = k_min is not None and k_min > h_scan
-        if no_scanned_start or v_last >= a.explicit_total - b.explicit_total:
-            return None
-        return "identical tail generators but undominated explicit remainder"
+        return None if covered else "identical tail generators but undominated explicit remainder"
     # Single same-family sequence spans: exact envelope analytics, with the
     # explicit masses folded in as constant offsets.
     sa, sb = a.spans, b.spans
     if _single_spans(a, b):
-        off_fwd = a.explicit_total - b.explicit_total
-        fwd = _span_dom(sa[0], sb[0], q, a.delta, h_scan, off_fwd)
-        rev = _span_dom(sb[0], sa[0], q, a.delta, h_scan - q, -off_fwd)
+        fwd = _span_dom(sa[0], sb[0], q, a.delta, h_scan, off)
+        rev = _span_dom(sb[0], sa[0], q, a.delta, h_scan - q, -off)
         if fwd and rev and v_last >= 0:
             return None
         return _span_note(a, b)
-    return _density_note(a, b)
+    # Covered but not identical generators are tried after the density
+    # certificate, which reads no V-minimum.
+    return None if covered else _density_note(a, b)
 
 
 def _density_note(a: _Side, b: _Side) -> Optional[str]:
@@ -537,6 +568,36 @@ def _density_note(a: _Side, b: _Side) -> Optional[str]:
     return "unsupported tail atom combination"
 
 
+def _covers(a: _Side, b: _Side) -> bool:
+    """Whether a's finite tail atoms, as a multiset of _ray_like keys, are
+    contained in b's."""
+    rest = list(b.generator_key)
+    for key in a.generator_key:
+        if key not in rest:
+            return False
+        rest.remove(key)
+    return True
+
+
+def _cover_depth(a: _Side, b: _Side, q: int) -> Optional[int]:
+    """_shared_depth's depth where a's generators are among b's, else None:
+    the located check reads its scan's V-minimum up to it."""
+    return _shared_depth(a, b, q, _structural_horizon(a, b, q)) if _covers(a, b) else None
+
+
+def _shared_depth(a: _Side, b: _Side, q: int, h_from: int) -> int:
+    """The depth from which covered generators certify (see
+    _tail_certificate): U(h) <= |Ea| - Eb(h+q) = D once h + q reaches b's
+    last explicit bucket, and V(m) >= Ea(m) - |Eb| = D once m reaches a's,
+    for a against b'. The depth also lies past each infinite bucket's cut,
+    a's [j, j] or b's [j - q, j + q], so the probe's last segment starts
+    where _locate's does, and the two read their V-minimum over the same
+    buckets up to the depth. At most h_from."""
+    ends = [j + q + 1 for j, _ in a.aleph_points + b.aleph_points]
+    ends += [*a.finite_explicit, *(j - q for j in b.finite_explicit)]
+    return min(h_from, max(ends, default=h_from))
+
+
 def _single_spans(a: _Side, b: _Side) -> bool:
     """Whether each side's only tail atom is a sequence span."""
     return len(a.finite_atoms) == len(b.finite_atoms) == len(a.spans) == len(b.spans) == 1
@@ -557,25 +618,17 @@ def _tail_depth(
     fails even at its deepest rung, or b does not cover a's density. None
     when the certificate needs the scan to the horizon, or its depth lies
     past it. The depth is at most h_from, behind which every explicit bucket
-    and every ray start lies; identical generators take the deepest of the
-    last explicit buckets and the infinite buckets' cuts, which may lie far
-    short of a shared ray's start."""
+    and every ray start lies; covered generators take _shared_depth, which
+    may lie far short of a shared ray's start. Identical generators are
+    tried first, and covered ones only where the density certificate fails,
+    as in _tail_certificate: the probe certifies exactly when _locate does."""
     off = a.explicit_total - b.explicit_total
     if a.generator_key == b.generator_key:
-        # The shared generator only lowers U and raises V (see
-        # _tail_certificate), so U(h) <= |Ea| - Eb(h+q) = D once h + q
-        # reaches b's last explicit bucket, and V(m) >= Ea(m) - |Eb| = D once
-        # m reaches a's. The depth also lies past each infinite bucket's cut,
-        # a's [j, j] or b's [j - q, j + q], so the probe's last segment
-        # starts where _locate's does, and its V-minimum is at least D
-        # exactly when _locate's is: the probe certifies when _locate does.
-        ends = [j + q + 1 for j, _ in a.aleph_points + b.aleph_points]
-        ends += [*a.finite_explicit, *(j - q for j in b.finite_explicit)]
-        return min(h_from, max(ends, default=h_from)), off
+        return _shared_depth(a, b, q, h_from), off
     if not _single_spans(a, b):
         note = _density_note(a, b)
         if note is not None:
-            return note
+            return (_shared_depth(a, b, q, h_from), off) if _covers(a, b) else note
         # A factorial span's bound of mult per bucket only holds deep: while
         # consecutive factorials differ by less than 1/delta they share
         # buckets (at delta 1/100 up to about bucket 78), so such spans keep
@@ -669,10 +722,14 @@ def _horizon(a: _Side, b: _Side, q: int) -> int:
 
 
 def _scan_to(
-    a: _Side, b: _Side, q: int, k_min: Optional[int], h_end: int
+    a: _Side, b: _Side, q: int, k_min: Optional[int], h_end: int, v_end: Optional[int] = None
 ) -> tuple[Optional[tuple[int, int]], int]:
     """(first violating window of a, last segment's V-minimum) over the
-    windows not settled by infinite buckets that end at or below h_end."""
+    windows not settled by infinite buckets that end at or below h_end. With
+    v_end set (at or above the last segment's start, at most h_end), the
+    V-minimum is read up to v_end alone, from the counts the scan has grown:
+    a scan to v_end would read the same, unless no window of the last
+    segment starts at or below v_end."""
     hit = _aleph_coverage(a, b, q, k_min)
     if hit is not None:
         return hit, 0
@@ -709,10 +766,13 @@ def _scan_to(
     segments = [s for s in segments[:-1] if s[1] > a.base] + segments[-1:]
     v_last = 0
     for seg_lo, seg_hi in segments:
-        got, v_min = _scan_segment(a, b, q, seg_lo, seg_hi, k_min)
+        got, v_last = _scan_segment(a, b, q, seg_lo, seg_hi, k_min)
         if got is not None:
             return got, 0
-        v_last = v_min
+    if v_end is not None and segments:
+        top = seg_lo - 1 if k_min is None else max(seg_lo, k_min) - 1
+        if top < v_end:
+            v_last = min(map(sub, a.cum_range(top, v_end), b.cum_range(top - q, v_end - q)))
     return None, v_last
 
 
@@ -732,10 +792,10 @@ def _locate(
     violating window of a up to the scan horizon; str = no certificate covers
     a's tail past that horizon."""
     h_scan = _horizon(a, b, q)
-    hit, v_last = _scan_to(a, b, q, k_min, h_scan)
-    if hit is not None or _untailed(a, b):
-        return hit
-    return _tail_certificate(a, b, q, h_scan, k_min, v_last)
+    if _untailed(a, b):
+        return _scan_to(a, b, q, k_min, h_scan)[0]
+    hit, v_last = _scan_to(a, b, q, k_min, h_scan, _cover_depth(a, b, q))
+    return hit if hit is not None else _tail_certificate(a, b, q, h_scan, k_min, v_last)
 
 
 def _check_direction(

@@ -19,6 +19,11 @@ from .errors import DeltaRangeError
 
 
 def check_delta(delta: Fraction) -> Fraction:
+    # A Fraction is kept in lowest terms with a positive denominator, so
+    # 0 < numerator < denominator means 0 < delta < 1: such a delta is
+    # returned as it is.
+    if type(delta) is Fraction and 0 < delta.numerator < delta.denominator:
+        return delta
     delta = Fraction(delta)
     if not 0 < delta < 1:
         raise DeltaRangeError(f"delta must lie in (0, 1), got {delta}")

@@ -4,7 +4,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import accumulate, islice
-from operator import add
+from operator import add, sub
 
 import pytest
 import test_acceptance as acceptance
@@ -768,6 +768,64 @@ def test_segment_scan_and_matcher_scan_agree_at_widening_one(ca, cb, seg_lo, wid
     assert hit == expected
 
 
+def test_long_segment_scan_matches_the_scan_over_grown_arrays():
+    cases = Counter()
+
+    @given(
+        finite_measures,
+        finite_measures,
+        st.sampled_from([1, 2, 5]),
+        st.integers(-10, 14),
+        st.integers(40, 400),
+        st.sampled_from([None, 3]),
+        st.integers(0, 6),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def check(a, b, q, seg_lo, width, k_min, heavy):
+        # A heavy bucket of a at the segment's start makes its first start
+        # fail in some draws.
+        a = replace(a, buckets={**a.buckets, seg_lo: Finite(heavy)}) if heavy else a
+        seg_hi = seg_lo + width
+        k_lo = seg_lo if k_min is None else max(seg_lo, k_min)
+        full_a, full_b = conditions._Side(a), conditions._Side(b)
+        ca = full_a.cum_range(k_lo - 1, seg_hi)
+        cb = full_b.cum_range(k_lo - 1 - q, seg_hi + q)
+        v = list(map(sub, ca, cb))
+        expected = _matchcore_py.first_window(list(map(sub, ca[1:], cb[2 * q + 1 :])), v)
+        expected = None if expected is None else (k_lo + expected[0], expected[1])
+
+        sa, sb = conditions._Side(a), conditions._Side(b)
+        hit, v_min = conditions._scan_segment(sa, sb, q, seg_lo, seg_hi, k_min)
+        assert hit == expected
+        if hit is None:
+            cases["no window"] += 1
+            assert v_min == min(v)
+        elif hit[0] == k_lo and seg_hi - k_lo + 1 > 2 * (2 * q + 16):
+            # A segment longer than two first prefixes (2q + 16 buckets
+            # each) is counted only out to the doubling prefix that holds
+            # the hit: less than twice its length past k_lo, plus the first
+            # prefix.
+            cases["long, first start"] += 1
+            reach = k_lo - 1 + 2 * hit[1] + 2 * q + 16
+            assert sa.base + len(sa.cum) - 1 < reach
+            assert sb.base + len(sb.cum) - 1 < reach + q
+
+    check()
+    checked = sum(cases.values())
+    for case in ("no window", "long, first start"):
+        assert cases[case] >= checked // 25, cases
+
+
+def test_long_segment_scan_finds_a_later_start_from_its_prefixes():
+    # a's 50 values at bucket 40 fit in b's widened window only while it
+    # reaches b's 50 at bucket 0, so no window starting at 0 or 1 fails,
+    # and [2, 40] is the first that does. The prefixes tried at start 0
+    # find nothing, and the full scan over their counts finds it.
+    ma, mb = meas({40: Finite(50)}), meas({0: Finite(50)})
+    hit, _ = conditions._scan_segment(conditions._Side(ma), conditions._Side(mb), 1, 0, 300, None)
+    assert hit == (2, 39) == lex_first_violation(ma, mb, 1, 0, 300)
+
+
 @pytest.mark.parametrize("q, expected", [(1, (10, 3)), (100, (10, 111))])
 def test_segment_scan_on_constant_densities(q, expected):
     # Two per bucket against one per bucket: the window [10, 9 + l] holds 2l
@@ -1031,11 +1089,20 @@ def test_only_the_q_max_check_looks_past_the_horizon(monkeypatch):
     s = aleph_plus_diagonals(GeometricSeq(F(2), F(1, 3)))
     out = condition_s_outcome(t, s, q_max=24)
     assert (out.present, out.q_used, stretches) == (True, 3, [])
-    # 1/n! against twice 1/n!: the left direction has no certificate at
-    # q_max = 16 and its stretch finds nothing, so the right scan's window
-    # is the answer, after exactly one stretch.
+    # 1/n! against twice 1/n!: T's one atom is among S's, so the left
+    # direction is certified without a stretch, and the right scan's window
+    # is the answer.
     t = aleph_plus_diagonals(FactorialSeq())
     s = aleph_plus_diagonals(FactorialSeq(), FactorialSeq())
+    out = condition_s_outcome(t, s, q_max=16)
+    assert out.violation == conditions.WindowViolation("right", 16, 41)
+    assert stretches == []
+    # S's factorial as one atom of multiplicity 2 does not cover T's: the
+    # left direction has no certificate at q_max = 16 and its stretch finds
+    # nothing, so the right scan's window is the answer, after exactly one
+    # stretch.
+    s = aleph_plus_diagonals()
+    s = replace(s, atoms=(SeqRay(SeqSpan(FactorialSeq(), 1, 2)),))
     out = condition_s_outcome(t, s, q_max=16)
     assert out.violation == conditions.WindowViolation("right", 16, 41)
     assert stretches == [(1, 16)]  # T's one factorial tail, at q_max
@@ -1099,9 +1166,10 @@ shared_atoms = st.one_of(
 
 
 @st.composite
-def shared_generator_pairs(draw):
+def shared_generator_pairs(draw, covered=False):
     """Explicit buckets -4..14, all moved down by 150 or not, an optional
-    aleph0 at -1 on both sides, and the same one or two tail atoms."""
+    aleph0 at -1 on both sides, and the same one or two tail atoms; with
+    ``covered``, the second side holds one or two tail atoms more."""
     shift = draw(st.sampled_from([0, -150]))
 
     def explicit():
@@ -1112,9 +1180,13 @@ def shared_generator_pairs(draw):
     if draw(st.booleans()):
         a[-1] = b[-1] = ALEPH0
     atoms = draw(st.lists(shared_atoms, min_size=1, max_size=2))
-    # Constant rays move with the buckets; the other atoms cannot start below 0.
-    atoms = tuple(replace(x, start=x.start + shift) if isinstance(x, ConstantRay) else x for x in atoms)
-    return meas(a, atoms), meas(b, atoms)
+    more = draw(st.lists(shared_atoms, min_size=1, max_size=2)) if covered else []
+
+    def moved(xs):
+        # Constant rays move with the buckets; the other atoms cannot start below 0.
+        return tuple(replace(x, start=x.start + shift) if isinstance(x, ConstantRay) else x for x in xs)
+
+    return meas(a, moved(atoms)), meas(b, moved(atoms + more))
 
 
 @given(
@@ -1165,6 +1237,84 @@ def test_cutoff_past_the_scan_horizon_leaves_no_window_for_the_remainder():
     assert conditions._outcome_at(sa, sb, 1, 64).present
     out = condition_s_tilde_outcome(t, s)
     assert (out.q_used, out.n_cutoff) == (1, 1)
+
+
+def first_failing_start(f, g, q, lo, hi, k_min=None):
+    """Brute force: the least k of a window [k, h] of f, lo <= k <= h <= hi
+    and k >= k_min, that holds more than g's [k - q, h + q], or None. Counts
+    come bucket by bucket from ``BucketMeasure.window_count``; aleph0, the
+    only infinite level drawn, counts 10^30 in f and 10^40 in g, so a
+    window of g holding one covers any window of f, and one of f holding
+    one exceeds any finite window of g."""
+
+    def counts(m, lo, hi, aleph):
+        got = (m.window_count(j, j) for j in range(lo, hi + 1))
+        return [aleph if isinstance(c, Aleph) else c.n for c in got]
+
+    if k_min is not None:
+        lo = max(lo, k_min)
+    cf = list(accumulate(counts(f, lo, hi, 10**30), initial=0))  # cf[i]: f over [lo, lo + i - 1]
+    cg = list(accumulate(counts(g, lo - q, hi + q, 10**40), initial=0))  # from lo - q
+    # [k, h] fails iff u[h - lo] > v[k - lo], as in the scan's U and V.
+    u = [cf[i + 1] - cg[i + 1 + 2 * q] for i in range(hi - lo + 1)]
+    v = [cf[i] - cg[i] for i in range(hi - lo + 1)]
+    top = list(accumulate(reversed(u), max))[::-1]  # max of u from each start on
+    return next((lo + i for i in range(hi - lo + 1) if top[i] > v[i]), None)
+
+
+@given(shared_generator_pairs(covered=True), st.integers(1, 4))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_covered_generators_certify_only_dominated_directions(pair, q):
+    # S holds T's tail atoms and more, so T against S can take the covered
+    # certificate; S against T never can. Wherever either direction's probe
+    # certifies, no window fails well past the horizon, and the probe
+    # certifies exactly when the located check does.
+    t, s = pair
+    sa, sb = conditions._prepare(t, s)
+    lo = min([0, *t.buckets, *s.buckets, *(x.first_bucket(HALF) for x in s.atoms)]) - q - 2
+    hi = conditions._horizon(sa, sb, q) + 60
+    for (f, g), (a, b) in zip(((t, s), (s, t)), ((sa, sb), (sb, sa))):
+        for k_min in (None, 0, 3, 10, 40):
+            probe = conditions._check_direction(a, b, q, k_min)
+            assert (probe is None) == (conditions._locate(a, b, q, k_min) is None)
+            if probe is None:
+                assert first_failing_start(f, g, q, lo, hi, k_min) is None
+
+
+def test_covered_generators_take_the_certificate_on_a_share_of_pairs():
+    branches = Counter()
+
+    @given(shared_generator_pairs(covered=True), st.integers(1, 4))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def check(pair, q):
+        sa, sb = conditions._prepare(*pair)
+        if conditions._untailed(sa, sb) or conditions._density_note(sa, sb) is None:
+            branches["other"] += 1
+        else:
+            certified = conditions._check_direction(sa, sb, q, None) is None
+            branches["certified" if certified else "refused"] += 1
+
+    check()
+    checked = sum(branches.values())
+    assert branches["certified"] >= checked // 5, branches
+    assert branches["refused"] >= checked // 25, branches
+
+
+def test_covered_constant_rays_keep_the_density_certificate():
+    # T's ray is among S's, but the covered certificate's V-minimum, -2,
+    # lies below T's explicit surplus of 1. S's constant rays cover T's
+    # density of 1 per bucket, and that certificate needs no V-minimum: it
+    # is tried first, as before covered generators certified.
+    t = meas({0: Finite(1)}, (ConstantRay(0, Finite(1)),))
+    s = meas({}, (ConstantRay(-3, Finite(1)), ConstantRay(0, Finite(1))))
+    sa, sb = conditions._prepare(t, s)
+    h_from = conditions._structural_horizon(sa, sb, 1)
+    assert conditions._covers(sa, sb) and not conditions._covers(sb, sa)
+    depth = conditions._shared_depth(sa, sb, 1, h_from)
+    assert conditions._scan_to(sa, sb, 1, None, depth) == (None, -2)
+    assert conditions._tail_depth(sa, sb, 1, h_from) == (h_from, None)
+    assert conditions._check_direction(sa, sb, 1, None) is None
+    assert conditions._locate(sa, sb, 1, None) is None
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,28 @@ def test_check_delta():
             check_delta(bad)
 
 
+def test_check_delta_returns_a_valid_fraction_itself():
+    delta = F(3, 7)
+    assert check_delta(delta) is delta
+    # Other rationals are still converted, and a subclass is not trusted.
+    class Odd(F):
+        pass
+
+    for given, expected in ((0.5, F(1, 2)), ("2/5", F(2, 5)), (Odd(1, 3), F(1, 3))):
+        got = check_delta(given)
+        assert type(got) is F and got == expected
+
+
+@pytest.mark.parametrize(
+    "bad, shown",
+    [(F(3, 2), "3/2"), (F(1), "1"), (F(0), "0"), (F(-1, 2), "-1/2"), (2, "2"), ("7/7", "1"), (-0.25, "-1/4")],
+)
+def test_check_delta_rejects_with_the_same_message(bad, shown):
+    with pytest.raises(DeltaRangeError) as err:
+        check_delta(bad)
+    assert str(err.value) == f"delta must lie in (0, 1), got {shown}"
+
+
 def test_pow_delta():
     assert pow_delta(F(1, 2), 3) == F(1, 8)
     assert pow_delta(F(1, 2), 0) == 1

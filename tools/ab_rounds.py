@@ -13,7 +13,10 @@ documents frozen out of collection.
 For each side it prints the best-of ``ops_per_s`` (ops over the sum of each
 operation's fastest time, as ``perfbench/run.py`` reports it) and the median
 of those fastest times, then in how many rounds the change's round was the
-faster, and whether the two sides' first-round reports agree byte for byte.
+faster, the median and interquartile range of the per-round ratio of the
+change's round time to the parent's, and whether the two sides' first-round
+reports agree byte for byte. The best-of figure rests on each side's few
+fastest rounds; the median ratio reads every round.
 A table follows: each operation's fastest time on each side, and the
 change's over the parent's.
 
@@ -127,13 +130,17 @@ def main(argv=None) -> int:
             side.close()
 
     n = len(parent.ops)
-    faster = sum(sum(c) < sum(p) for p, c in zip(parent.rounds, change.rounds))
+    ratios = [sum(c) / sum(p) for p, c in zip(parent.rounds, change.rounds)]
+    faster = sum(r < 1 for r in ratios)
     for label, side in (("parent", parent), ("change", change)):
         best = side.best()
         print(f"{label}: ops_per_s {n / sum(best):.1f}  op_ms_p50 "
               f"{statistics.median(best) * 1000.0:.3f}  ({side.checkout})")
     print(f"change: {n / sum(change.best()) / (n / sum(parent.best())) - 1:+.1%} ops_per_s; "
           f"faster in {faster} of {args.rounds} rounds")
+    q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    print(f"per-round change/parent time: median {median:.3f}, "
+          f"interquartile range {q1:.3f}-{q3:.3f}")
     print(f"first-round reports: {'identical' if parent.digest == change.digest else 'DIFFERENT'}")
     width = max(map(len, parent.ops))
     print(f"\n{'operation':<{width}}  parent ms  change ms  change/parent")
