@@ -12,15 +12,17 @@ higher infinite level within reach, and any window whose widening touches an
 infinite bucket of ``b`` is trivially dominated. What remains is
 integer-valued and decided exactly: finite stretches by the matcher's window
 scan (``_matchcore_py.first_window``, lexicographically first window) over
-count arrays, unbounded tails by closed-form certificates on the symbolic tail
-atoms. Probes only ask whether a widening certifies. Where a certificate
-holds from a depth (a's tail generators among b's, one same-family span on
-each side, or a's bounded per-bucket density against b's constant rays), a
-probe scans only up to that depth, often the last explicit bucket plus the
-widening; where no certificate can apply it does not scan; otherwise it
-scans to a fixed horizon past it.
-A direction the q_max check does not certify is located as before: scanned
-to the horizon, and, without a certificate, past it for a re-checkable
+count arrays, unbounded tails by one closed-form certificate on the symbolic
+tail atoms (_tail_certificate). It gives the depth from which it holds (a's
+tail generators among b's, one same-family span on each side, or a's bounded
+per-bucket density against b's constant rays), the bound the scan's
+V-minimum must reach there, and the note a failed bound answers; or a note
+alone when no certificate can apply. Probes only ask whether a widening
+certifies, and scan only up to that depth, often the last explicit bucket
+plus the widening, or not at all after a note alone. A direction the q_max
+check does not certify is located by the same check with the scan run on to
+a fixed horizon, so that a refusal reports the first window up to there;
+without a certificate it is scanned past the horizon for a re-checkable
 window, raising UnsupportedTailError, rather than guessing, when none turns
 up.
 """
@@ -62,10 +64,10 @@ from .tails import (
     term_value,
 )
 
-# Buckets _locate scans past h_from (the last structural feature plus the
-# widening); the bounded-density certificate and the deepest rung of the span
-# bounds are set from that horizon, and probes whose certificate holds from a
-# depth do not reach it.
+# Buckets the located check scans past h_from (the last structural feature
+# plus the widening), so that a refusal reports the first window up to there;
+# the deepest rung of the span bounds and a factorial span's density depth are
+# set from that horizon. Probes scan only to their certificate's depth.
 _SCAN_SLACK = 160
 
 
@@ -365,8 +367,11 @@ def _scan_segment(
 # shared counts, x's count is read from its array wherever that already
 # reaches h0, and y's first bucket from them.
 #
-# _span_dom(x, y, q, delta, h_from, offset) is the bound at the one depth
-# h_from + 47 * max(4, q), the deepest rung, where _tail_certificate reads it.
+# _span_dom(a, b, q, h_from) searches each direction of a span pair between
+# h_from and the deepest rung, 47 * max(4, q) past the scan horizon; the
+# certificate holds from the deeper of the two depths, wherever it lies, and
+# the scan runs to it, so no depth below the first that holds is taken on
+# trust.
 
 
 def _span_depth(
@@ -458,24 +463,38 @@ def _span_depth(
     return None
 
 
-def _span_dom(
-    x: SeqSpan, y: SeqSpan, q: int, delta: Fraction, h_from: int, offset: int
-) -> bool:
-    h0 = h_from + 47 * max(4, q)
-    return _span_depth(x, y, q, delta, h0, h0, offset) is not None
+def _span_dom(a: _Side, b: _Side, q: int, h_from: int) -> tuple[Optional[int], Optional[int]]:
+    """(fwd, rev) for the single spans of a and b, with the explicit masses
+    folded in as offsets: U(h) <= 0 for h >= fwd, and V(m) >= 0 for
+    m - q >= rev; rev is None when either bound fails at its deepest rung.
+    h_from and q fix the rungs, so the answer is kept for the probes that
+    ask again."""
+    off = a.explicit_total - b.explicit_total
+    x, y = a.spans[0], b.spans[0]
+    (_, cx), (_, cy) = a.atom_counts[0], b.atom_counts[0]
+    key = (cx, x.mult, cy, y.mult, q, off, h_from)
+    depths = a.tails.depths.get(key)
+    if depths is None:
+        h_top = _horizon(a, b, q) + 47 * max(4, q)
+        fwd = _span_depth(x, y, q, a.delta, h_from, h_top, off, (cx, cy))
+        rev = None
+        if fwd is not None:
+            rev = _span_depth(y, x, q, a.delta, h_from - q, h_top - q, -off, (cy, cx))
+        depths = a.tails.depths[key] = (fwd, rev)
+    return depths
 
 
 # ---------------------------------------------------------------------------
-# Tail certificates for the unbounded region
+# The tail certificate for the unbounded region
 #
-# After the finite scan has cleared everything up to a depth, a violating
+# After the finite scan has cleared every window up to a depth, a violating
 # window [k, h] with h past it must satisfy U(h) > V(k-1) with k-1 either
-# inside the last scanned segment (whose V-minimum v_last is known) or beyond
-# the scan; windows spanning a cut position are settled by infinite-
-# bucket absorption. The certificates establish a bound D with U(h) <= D and
-# V(m) >= D for all h, m past the depth, which together with v_last >= D rules
-# every such window out. _tail_depth gives the least such depth, when it can;
-# _tail_certificate takes the scan horizon as the depth.
+# inside the last scanned segment (whose V-minimum v_last, read up to the
+# depth, is known) or past the depth; windows spanning a cut position are
+# settled by infinite-bucket absorption. _tail_certificate gives the depth
+# and a bound D with U(h) <= D and V(m) >= D for all h, m past it, which
+# together with v_last >= D rules every such window out; D is None when no
+# window reaching past the depth can fail once those up to it are dominated.
 
 
 def _ray_like(atom) -> tuple:
@@ -492,31 +511,40 @@ def _bounded_span_width(model: GeometricSeq, delta: Fraction) -> int:
 
 
 def _rule_density(atom, delta: Fraction):
-    """(class, per-bucket count bound or growth base) of a tail atom."""
+    """(class, per-bucket count bound or growth base) of a tail atom: an
+    integer, except a power span's exponent."""
     if isinstance(atom, ConstantRay):
-        return ("const", Fraction(atom.count.n))
+        return ("const", atom.count.n)
     if isinstance(atom, GeometricRay):
-        return ("exp", Fraction(atom.base))
+        return ("exp", atom.base)
     if isinstance(atom, SparseRay):
-        return ("sparse", Fraction(1))
+        return ("sparse", 1)
     span = atom.span
     m = span.model
     if isinstance(m, PowerSeq):
         return ("exp_root", m.p)  # per-bucket counts grow like delta^(-j/p)
     if isinstance(m, GeometricSeq):
-        return ("bounded", Fraction(span.mult * _bounded_span_width(m, delta)))
+        return ("bounded", span.mult * _bounded_span_width(m, delta))
     if isinstance(m, FactorialSeq):
-        return ("sparse", Fraction(span.mult))
+        return ("sparse", span.mult)
     raise TypeError(f"unknown atom {atom!r}")
 
 
 def _tail_certificate(
-    a: _Side, b: _Side, q: int, h_scan: int, k_min: Optional[int], v_last: int
-) -> Optional[str]:
-    """None when no window with content beyond h_scan can violate domination;
-    an explanatory string when no certificate applies. ``a`` has tail atoms.
-    ``v_last`` is the last scanned segment's V-minimum, read up to
-    _cover_depth's depth where it is set, else up to h_scan."""
+    a: _Side, b: _Side, q: int, h_from: int
+) -> Union[str, tuple[int, Optional[int], Union[None, str, int]]]:
+    """(depth, D, fallback) for a direction whose a has tail atoms, or a note
+    alone when no certificate can apply, whatever the scan finds: the span
+    pair's bound fails even at its deepest rung, or b does not cover a's
+    density. ``fallback`` is what the direction answers when the scan's
+    V-minimum up to the depth falls below D: a note, or the depth h_from,
+    to which the scan runs on, for identical generators that the
+    bounded-density certificate also covers. The depth is at most h_from,
+    behind which every explicit bucket and every ray start lies, except for
+    a span pair, whose depth may lie past the scan horizon, and a factorial
+    span's density depth, the horizon. Identical generators are tried
+    first, and covered ones only where the density certificate fails, so
+    no pair loses a certificate that reads no V-minimum."""
     # Covered generators: write b = b' + X, X being b's tail atoms beyond
     # a's. Each widened window of b holds X[k-q..h+q] >= 0 more than that of
     # b', so a window of (a, b) fails only if the same window of (a, b')
@@ -526,37 +554,48 @@ def _tail_certificate(
     # (a, b'), with D = |Ea| - |Eb|. The scan's V is no larger than that of
     # (a, b'), so its minimum up to the depth >= D, or no window start at or
     # below the depth, rules out every deeper window. With X not empty, V
-    # may fall below D past the depth, so the minimum is read at the depth,
-    # where the probe reads it.
+    # may fall below D past the depth, so the minimum is read at the depth.
     off = a.explicit_total - b.explicit_total
-    depth = _cover_depth(a, b, q)
-    covered = depth is not None and ((k_min is not None and k_min > depth) or v_last >= off)
     if a.generator_key == b.generator_key:
-        return None if covered else "identical tail generators but undominated explicit remainder"
-    # Single same-family sequence spans: exact envelope analytics, with the
-    # explicit masses folded in as constant offsets.
-    sa, sb = a.spans, b.spans
-    if _single_spans(a, b):
-        fwd = _span_dom(sa[0], sb[0], q, a.delta, h_scan, off)
-        rev = _span_dom(sb[0], sa[0], q, a.delta, h_scan - q, -off)
-        if fwd and rev and v_last >= 0:
-            return None
-        return _span_note(a, b)
-    # Covered but not identical generators are tried after the density
-    # certificate, which reads no V-minimum.
-    return None if covered else _density_note(a, b)
+        # Constant rays alone, when their remainder's V-minimum falls short,
+        # still take the density certificate: b's rays carry a's count.
+        fallback = "identical tail generators but undominated explicit remainder"
+        if all(k == "const" for k, _ in a.densities):
+            fallback = h_from
+        return _shared_depth(a, b, q, h_from), off, fallback
+    if len(a.finite_atoms) == len(b.finite_atoms) == len(a.spans) == len(b.spans) == 1:
+        # Single same-family sequence spans: exact envelope analytics, with
+        # the explicit masses folded in as constant offsets.
+        fwd, rev = _span_dom(a, b, q, h_from)
+        x, y = (type(side.spans[0].model).__name__ for side in (a, b))
+        note = f"no eventual-domination certificate for tail pair {x} vs {y}"
+        return note if rev is None else (max(fwd, rev + q) + 1, 0, note)
+    note = _density_note(a, b)
+    if note is None:
+        # A factorial span's bound of mult per bucket only holds deep: while
+        # consecutive factorials differ by less than 1/delta they share
+        # buckets (at delta 1/100 up to about bucket 78), so such spans take
+        # the horizon. The others' bound holds from their first bucket on (a
+        # SparseRay's rule indices are distinct, so it never holds more than
+        # one value in a bucket), so past h_from each bucket of a is paid by
+        # one of b's.
+        if any(isinstance(x.model, FactorialSeq) for x in a.spans):
+            return _horizon(a, b, q), None, None
+        return h_from, None, None
+    return (_shared_depth(a, b, q, h_from), off, note) if _covers(a, b) else note
 
 
 def _density_note(a: _Side, b: _Side) -> Optional[str]:
-    """None when the bounded-density certificate applies past the scan
-    horizon; otherwise why it does not.
+    """None when the bounded-density certificate applies; otherwise why it
+    does not.
 
     Bounded per-bucket density of a against constant densities of b: split
-    any deep window at h_scan — the scanned part is dominated, and each
+    any deep window at the certificate's depth, past which a's bound holds
+    and b's rays have all started — the scanned part is dominated, and each
     extra bucket of a (at most cap) is paid by one extra bucket of b. A
     growing b (a GeometricRay or a power span) gets no certificate: the pair
-    could not hold anyway, since b -> a is then never certified. The two
-    tests before this one in _tail_certificate are symmetric, b's growth
+    could not hold anyway, since b -> a is then never certified. The
+    identical-generator and span certificates are symmetric, b's growth
     keeps it out of this one, and an infinite ray settles both directions
     before any certificate."""
     da, db = a.densities, b.densities
@@ -579,86 +618,17 @@ def _covers(a: _Side, b: _Side) -> bool:
     return True
 
 
-def _cover_depth(a: _Side, b: _Side, q: int) -> Optional[int]:
-    """_shared_depth's depth where a's generators are among b's, else None:
-    the located check reads its scan's V-minimum up to it."""
-    return _shared_depth(a, b, q, _structural_horizon(a, b, q)) if _covers(a, b) else None
-
-
 def _shared_depth(a: _Side, b: _Side, q: int, h_from: int) -> int:
     """The depth from which covered generators certify (see
     _tail_certificate): U(h) <= |Ea| - Eb(h+q) = D once h + q reaches b's
     last explicit bucket, and V(m) >= Ea(m) - |Eb| = D once m reaches a's,
     for a against b'. The depth also lies past each infinite bucket's cut,
-    a's [j, j] or b's [j - q, j + q], so the probe's last segment starts
-    where _locate's does, and the two read their V-minimum over the same
-    buckets up to the depth. At most h_from."""
+    a's [j, j] or b's [j - q, j + q], so the scan's last segment starts past
+    every cut, and the probe and the located check read their V-minimum
+    over the same buckets up to the depth. At most h_from."""
     ends = [j + q + 1 for j, _ in a.aleph_points + b.aleph_points]
     ends += [*a.finite_explicit, *(j - q for j in b.finite_explicit)]
     return min(h_from, max(ends, default=h_from))
-
-
-def _single_spans(a: _Side, b: _Side) -> bool:
-    """Whether each side's only tail atom is a sequence span."""
-    return len(a.finite_atoms) == len(b.finite_atoms) == len(a.spans) == len(b.spans) == 1
-
-
-def _span_note(a: _Side, b: _Side) -> str:
-    x, y = a.spans[0].model, b.spans[0].model
-    return f"no eventual-domination certificate for tail pair {type(x).__name__} vs {type(y).__name__}"
-
-
-def _tail_depth(
-    a: _Side, b: _Side, q: int, h_from: int
-) -> Union[None, str, tuple[int, Optional[int]]]:
-    """(depth, D): U(h) <= D and V(m) >= D for all h, m > depth, with the
-    depth at most the scan horizon; D is None when no window reaching past
-    the depth can fail once the windows up to it are dominated. A note when
-    no certificate can apply, whatever the scan finds: the span pair's bound
-    fails even at its deepest rung, or b does not cover a's density. None
-    when the certificate needs the scan to the horizon, or its depth lies
-    past it. The depth is at most h_from, behind which every explicit bucket
-    and every ray start lies; covered generators take _shared_depth, which
-    may lie far short of a shared ray's start. Identical generators are
-    tried first, and covered ones only where the density certificate fails,
-    as in _tail_certificate: the probe certifies exactly when _locate does."""
-    off = a.explicit_total - b.explicit_total
-    if a.generator_key == b.generator_key:
-        return _shared_depth(a, b, q, h_from), off
-    if not _single_spans(a, b):
-        note = _density_note(a, b)
-        if note is not None:
-            return (_shared_depth(a, b, q, h_from), off) if _covers(a, b) else note
-        # A factorial span's bound of mult per bucket only holds deep: while
-        # consecutive factorials differ by less than 1/delta they share
-        # buckets (at delta 1/100 up to about bucket 78), so such spans keep
-        # _locate. The others' bound holds from their first bucket on (a
-        # SparseRay's rule indices are distinct, so it never holds more than
-        # one value in a bucket), so past h_from each bucket of a is paid by
-        # one of b's.
-        if any(isinstance(x.model, FactorialSeq) for x in a.spans):
-            return None
-        return h_from, None
-    # U(h) <= 0 for h >= fwd, and V(m) >= 0 for m - q >= rev; the deepest
-    # rungs are _tail_certificate's. h_from and q fix the rungs, so the
-    # answer is kept for the probes that ask again.
-    h_scan = _horizon(a, b, q)
-    x, y = a.spans[0], b.spans[0]
-    (_, cx), (_, cy) = a.atom_counts[0], b.atom_counts[0]
-    key = (cx, x.mult, cy, y.mult, q, off, h_from)
-    depths = a.tails.depths.get(key)
-    if depths is None:
-        reach = 47 * max(4, q)
-        fwd = _span_depth(x, y, q, a.delta, h_from, h_scan + reach, off, (cx, cy))
-        rev = None
-        if fwd is not None:
-            rev = _span_depth(y, x, q, a.delta, h_from - q, h_scan - q + reach, -off, (cy, cx))
-        depths = a.tails.depths[key] = (fwd, rev)
-    fwd, rev = depths
-    if rev is not None:
-        depth = max(fwd, rev + q) + 1
-        return (depth, 0) if depth <= h_scan else None
-    return _span_note(a, b)
 
 
 def _analytic_violation(
@@ -785,41 +755,39 @@ def _untailed(a: _Side, b: _Side) -> bool:
     return a.aleph_ray_start is not None or b.aleph_ray_start is not None or not a.finite_atoms
 
 
-def _locate(
-    a: _Side, b: _Side, q: int, k_min: Optional[int]
-) -> Union[None, tuple[int, int], str]:
-    """The check a refusal reports from: None = dominated; (k, l) = the first
-    violating window of a up to the scan horizon; str = no certificate covers
-    a's tail past that horizon."""
-    h_scan = _horizon(a, b, q)
-    if _untailed(a, b):
-        return _scan_to(a, b, q, k_min, h_scan)[0]
-    hit, v_last = _scan_to(a, b, q, k_min, h_scan, _cover_depth(a, b, q))
-    return hit if hit is not None else _tail_certificate(a, b, q, h_scan, k_min, v_last)
-
-
 def _check_direction(
-    a: _Side, b: _Side, q: int, k_min: Optional[int]
+    a: _Side, b: _Side, q: int, k_min: Optional[int], located: bool = False
 ) -> Union[None, tuple[int, int], str]:
-    """None exactly when _locate answers None, found with a scan that stops
-    where a certificate of a depth holds; otherwise a window found on the way
-    or a note, at once when no certificate can apply. Where one may apply
-    but gives no depth within the scan horizon, this is _locate."""
+    """None = every window of a is dominated at widening q; (k, l) = a
+    violating window of a; str = a note: the certificate's note alone, or
+    the one its failed bound answers. The probe scans only up to the
+    certificate's depth, and not at all after a note alone. ``located``
+    runs the scan on to the horizon, or to the depth where that lies
+    deeper, so that a refusal reports the first window up to there; it
+    reads the V-minimum at the same depth, and certifies exactly when the
+    probe does."""
     h_from = _structural_horizon(a, b, q)
-    if _untailed(a, b):
-        return _scan_to(a, b, q, k_min, h_from)[0]
-    cert = _tail_depth(a, b, q, h_from)
-    if cert is None:
-        return _locate(a, b, q, k_min)
+    cert = (h_from, None, None) if _untailed(a, b) else _tail_certificate(a, b, q, h_from)
+    h_scan = _horizon(a, b, q) if located else None
     if isinstance(cert, str):
-        return cert
-    depth, bound = cert
-    hit, v_last = _scan_to(a, b, q, k_min, depth)
+        hit = None if h_scan is None else _scan_to(a, b, q, k_min, h_scan)[0]
+        return cert if hit is None else hit
+    depth, bound, fallback = cert
+    h_end = depth if h_scan is None else max(h_scan, depth)
+    v_end = depth if bound is not None and h_end > depth else None
+    hit, v_last = _scan_to(a, b, q, k_min, h_end, v_end)
     if hit is not None:
         return hit
     if bound is None or (k_min is not None and k_min > depth) or v_last >= bound:
         return None
-    return "the scan's V-minimum lies below the tail bound"
+    if isinstance(fallback, str):
+        return fallback
+    return _scan_to(a, b, q, k_min, fallback)[0] if fallback > h_end else None
+
+
+def _locate(a: _Side, b: _Side, q: int, k_min: Optional[int]) -> Union[None, tuple[int, int], str]:
+    """The check a refusal reports from: _check_direction, located."""
+    return _check_direction(a, b, q, k_min, located=True)
 
 
 # ---------------------------------------------------------------------------

@@ -852,8 +852,15 @@ def test_segment_scan_reaches_both_edges_of_the_widening(b_bucket, expected):
 # Eventual-domination bounds against the ladder of depths they settle at once
 
 
+def deepest_rung(x, y, q, delta, h_from, offset):
+    """Whether the envelope bound holds at the deepest rung, the one depth
+    h_from + 47 * max(4, q); _span_dom's depth searches end there."""
+    h0 = h_from + 47 * max(4, q)
+    return conditions._span_depth(x, y, q, delta, h0, h0, offset) is not None
+
+
 def span_dom_ladder(x, y, q, delta, h_from, offset):
-    """_span_dom's bound tried at each of the 48 depths h_from + t * max(4, q)."""
+    """The bound tried at each of the 48 depths h_from + t * max(4, q)."""
     rungs = range(h_from, h_from + 48 * max(4, q), max(4, q))
     return first_holding_rung(x, y, q, delta, rungs, offset) is not None
 
@@ -941,8 +948,8 @@ def span_dom_pairs(draw):
 def test_span_dom_matches_the_ladder(pair, q, delta, h_from, offset):
     x, y = pair
     expected = span_dom_ladder(x, y, q, delta, h_from, offset)
-    assert conditions._span_dom(x, y, q, delta, h_from, offset) == expected
-    assert conditions._span_dom(y, x, q, delta, h_from, -offset) == span_dom_ladder(
+    assert deepest_rung(x, y, q, delta, h_from, offset) == expected
+    assert deepest_rung(y, x, q, delta, h_from, -offset) == span_dom_ladder(
         y, x, q, delta, h_from, -offset
     )
 
@@ -978,20 +985,23 @@ def deepest_rung_bounds(q, h_from):
 @pytest.mark.parametrize("h_from", [-30, 0, 17])
 def test_span_dom_certifies_up_to_the_deepest_rung_bound(q, h_from):
     for x, y, bound in deepest_rung_bounds(q, h_from):
-        for dom in (conditions._span_dom, span_dom_ladder):
+        for dom in (deepest_rung, span_dom_ladder):
             assert dom(x, y, q, HALF, h_from, bound)
             assert not dom(x, y, q, HALF, h_from, bound + 1)
 
 
-@pytest.mark.xfail(reason="_span_dom tests its bound at the deepest rung only; the depths between h_from and that rung go unchecked")
 def test_span_dom_refuses_a_gap_below_its_deepest_rung():
+    # The bound holds at the deepest rung, but the differences at h = 4..10
+    # lie below the offset 118; _span_dom's search between h_from and that
+    # rung gives the first depth that holds, 11, where the difference is 128.
     x = SeqSpan(PowerSeq(F(7, 2), F(3)), 17, 2)
     y = SeqSpan(PowerSeq(F(1, 8), F(3)), 3, 3)
     gaps = [
-        y.count_ge(pow_delta(HALF, h + 9)) - x.count_ge(pow_delta(HALF, h + 1)) for h in range(4, 11)
+        y.count_ge(pow_delta(HALF, h + 9)) - x.count_ge(pow_delta(HALF, h + 1)) for h in range(4, 12)
     ]
-    assert gaps == [24, 30, 42, 54, 69, 90, 108]  # each below the offset 118
-    assert not conditions._span_dom(x, y, 8, HALF, 4, 118)
+    assert gaps == [24, 30, 42, 54, 69, 90, 108, 128]
+    assert deepest_rung(x, y, 8, HALF, 4, 118)
+    assert conditions._span_depth(x, y, 8, HALF, 4, 4 + 47 * 8, 118) == 11
 
 
 def test_span_dom_counts_at_most_twice(monkeypatch):
@@ -1006,7 +1016,7 @@ def test_span_dom_counts_at_most_twice(monkeypatch):
     for x, y, bound in deepest_rung_bounds(4, 0):
         for offset in (bound, bound + 1, -(10**6)):  # certified, refused, certified
             calls.clear()
-            conditions._span_dom(x, y, 4, HALF, 0, offset)
+            deepest_rung(x, y, 4, HALF, 0, offset)
             assert len(calls) <= 2
 
 
@@ -1056,15 +1066,16 @@ def test_span_depth_counts_once_per_halving(monkeypatch, h_lo):
 
 
 def test_left_violation_skips_the_right_direction(monkeypatch):
+    # The probe and the located check both run _check_direction, on sa alone.
     directions = []
     real = conditions._check_direction
     monkeypatch.setattr(
-        conditions, "_check_direction", lambda a, *rest: directions.append(a) or real(a, *rest)
+        conditions, "_check_direction", lambda a, *rest, **kw: directions.append(a) or real(a, *rest, **kw)
     )
     sa, sb = conditions._prepare(meas({0: Finite(2)}), meas({3: Finite(2)}))
     out = conditions._outcome_at(sa, sb, 1, None)
     assert out.violation.side == "left"
-    assert directions == [sa]
+    assert directions == [sa, sa]
 
 
 def aleph_plus_diagonals(*tails):
@@ -1131,7 +1142,7 @@ def test_bounded_certificate_refuses_a_wide_geometric_span():
     assert s.window_count(12, 427) == Finite(108160)
     a, b = conditions._Side(t), conditions._Side(s)
     assert a.densities == [("bounded", F(274))]
-    got = conditions._tail_certificate(a, b, 8, 500, None, 0)
+    got = conditions._tail_certificate(a, b, 8, conditions._structural_horizon(a, b, 8))
     assert got == "bounded tail density without a dominating coverage bound"
 
 
@@ -1198,30 +1209,91 @@ def shared_generator_pairs(draw, covered=False):
 def test_identical_generators_certify_from_the_scan_minimum(pair, q, k_min):
     a, b = pair
     starts = []
-    scan, certify = conditions._scan_segment, conditions._tail_certificate
+    scan, locate = conditions._scan_segment, conditions._locate
 
     def recording_scan(x, y, q, seg_lo, seg_hi, k_min):
         starts.append(seg_lo)
         return scan(x, y, q, seg_lo, seg_hi, k_min)
 
-    def compared_certificate(x, y, q, h_scan, k_min, v_last):
-        got = certify(x, y, q, h_scan, k_min, v_last)
-        # With no window start left in the scan, the last segment began at k_min.
-        seg_lo = starts[-1] if k_min is None or k_min <= h_scan else k_min
-        # Whatever the remainder scan certified, the scan minimum certifies.
-        assert got is None or not remainder_certifies(x, y, q, seg_lo, k_min)
+    def compared_locate(x, y, q, k_min):
+        got = locate(x, y, q, k_min)
+        if not isinstance(got, tuple):  # no window up to the horizon: the certificate answered
+            h_scan = conditions._horizon(x, y, q)
+            # With no window start left in the scan, the last segment began at k_min.
+            seg_lo = starts[-1] if k_min is None or k_min <= h_scan else k_min
+            # Whatever the remainder scan certified, the scan minimum certifies.
+            assert got is None or not remainder_certifies(x, y, q, seg_lo, k_min)
         return got
 
     sa, sb = conditions._prepare(a, b)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conditions, "_scan_segment", recording_scan)
-        mp.setattr(conditions, "_tail_certificate", compared_certificate)
+        mp.setattr(conditions, "_locate", compared_locate)
         out = conditions._outcome_at(sa, sb, q, k_min)
     if out.present:
         # The probes scanned only to h_from; recount well past the horizon.
         lo = min([0, *a.buckets, *b.buckets, *(x.first_bucket(HALF) for x in a.atoms)]) - q - 2
         h_top = conditions._horizon(sa, sb, q) + 60
         assert dominated(a, b, q, lo, h_top, h_top - lo + 1, k_min, h_max=h_top)
+
+
+@pytest.mark.parametrize("q_max", [1, 4, 64])
+def test_identical_constant_rays_fall_back_to_the_density_certificate(q_max):
+    # T's three values at 8 against S's two at 2: at q = 1, V(7) = 16 - 16 = 0
+    # lies below |Ea| - |Eb| = 1, so the identical-generator bound fails. S's
+    # two values per bucket cover T's two, so the bounded-density certificate
+    # holds once the scan to h_from finds no window, in both forms.
+    ray = (ConstantRay(0, Finite(2)),)
+    t, s = meas({8: Finite(3)}, ray), meas({2: Finite(2)}, ray)
+    out = condition_s_outcome(t, s, q_max)
+    assert (out.q_used, out.delta_prime) == (1, HALF)
+    out = condition_s_tilde_outcome(t, s, q_max, 64)
+    assert (out.q_used, out.n_cutoff) == (1, 1)
+
+
+@st.composite
+def identical_constant_ray_pairs(draw):
+    """(T, S, q, k_min): the same one or two constant rays on both sides,
+    0-4 explicit buckets of 1-4 values each in -4..14, and maybe aleph0 at
+    -1 on both sides."""
+    rays = st.builds(ConstantRay, st.integers(-4, 14), st.integers(1, 3).map(Finite))
+    atoms = tuple(draw(st.lists(rays, min_size=1, max_size=2)))
+    aleph = draw(st.booleans())
+
+    def side():
+        buckets = draw(st.dictionaries(st.integers(-4, 14), st.integers(1, 4).map(Finite), max_size=4))
+        if aleph:
+            buckets[-1] = ALEPH0
+        return meas(buckets, atoms)
+
+    return side(), side(), draw(st.integers(1, 4)), draw(st.sampled_from([None, 0, 3, 10]))
+
+
+def test_identical_constant_rays_certify_only_dominated_directions():
+    # Wherever a direction certifies, by the identical-generator bound or by
+    # the density certificate after it fails, a brute-force recount well
+    # past the horizon finds no failing window; the fallback certifies a
+    # share of the directions.
+    outcomes = Counter()
+
+    @given(identical_constant_ray_pairs())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def check(case):
+        t, s, q, k_min = case
+        sa, sb = conditions._prepare(t, s)
+        lo = min([0, *t.buckets, *s.buckets, *(x.start for x in t.atoms)]) - q - 2
+        hi = conditions._horizon(sa, sb, q) + 60
+        for (f, g), (a, b) in zip(((t, s), (s, t)), ((sa, sb), (sb, sa))):
+            probe = conditions._check_direction(a, b, q, k_min)
+            assert (probe is None) == (conditions._locate(a, b, q, k_min) is None)
+            if probe is None:
+                assert first_failing_start(f, g, q, lo, hi, k_min) is None
+            depth, bound, _ = conditions._tail_certificate(a, b, q, conditions._structural_horizon(a, b, q))
+            short = (k_min is None or k_min <= depth) and conditions._scan_to(a, b, q, k_min, depth)[1] < bound
+            outcomes[short, probe is None] += 1
+
+    check()
+    assert outcomes[True, True] >= sum(outcomes.values()) // 25, outcomes
 
 
 def test_cutoff_past_the_scan_horizon_leaves_no_window_for_the_remainder():
@@ -1312,7 +1384,7 @@ def test_covered_constant_rays_keep_the_density_certificate():
     assert conditions._covers(sa, sb) and not conditions._covers(sb, sa)
     depth = conditions._shared_depth(sa, sb, 1, h_from)
     assert conditions._scan_to(sa, sb, 1, None, depth) == (None, -2)
-    assert conditions._tail_depth(sa, sb, 1, h_from) == (h_from, None)
+    assert conditions._tail_certificate(sa, sb, 1, h_from) == (h_from, None, None)
     assert conditions._check_direction(sa, sb, 1, None) is None
     assert conditions._locate(sa, sb, 1, None) is None
 
@@ -1324,13 +1396,14 @@ def test_covered_constant_rays_keep_the_density_certificate():
 @st.composite
 def depth_certificate_cases(draw):
     """(T, S, q) whose tails take a certificate of a depth: the same one or
-    two atoms of any kind on both sides; one same-family span on each side,
-    each with its own constant, start and multiplicity; spans 1/n against
-    (1 + tiny)/(2^q n), from a later start, whose bound first holds deep; or
-    a factorial span, maybe beside a constant ray, against constant rays
-    that cover its per-bucket bound, which holds only deep. Or one side has
-    no tail. Each side has 0-4 explicit buckets and maybe aleph0 at -1; q is
-    1..8."""
+    two atoms of any kind on both sides; those atoms on T and one more on S;
+    one same-family span on each side, each with its own constant, start
+    and multiplicity; spans 1/n against (1 + tiny)/(2^q n), from a later
+    start, whose bound first holds deep, past the scan horizon; or a
+    factorial span or a SparseRay, maybe beside a constant ray, against a
+    constant ray that covers its per-bucket bound, which for the factorial
+    span holds only deep. Or one side has no tail. Each side has 0-4
+    explicit buckets and maybe aleph0 at -1; q is 1..8."""
     q = draw(st.integers(1, 8))
 
     def side(atoms):
@@ -1342,7 +1415,9 @@ def depth_certificate_cases(draw):
     def span(model, starts, mult=None):
         return [SeqRay(SeqSpan(model, draw(starts), mult or draw(st.integers(1, 3))))]
 
-    kind = draw(st.sampled_from(["identical", "spans", "deep spans", "factorial density", "one tail"]))
+    # Deep spans and densities certify in one direction only: drawn twice as often.
+    kinds = ["identical", "covered", "spans", "one tail"] + ["deep spans", "density"] * 2
+    kind = draw(st.sampled_from(kinds))
     if kind == "spans":
         family = draw(st.sampled_from(["power", "geometric", "factorial"]))
         if family == "power":
@@ -1362,27 +1437,38 @@ def depth_certificate_cases(draw):
         mult = draw(st.integers(1, 3))
         t_atoms = span(PowerSeq(c, F(1)), st.integers(1, 5), mult)
         s_atoms = span(PowerSeq(c * (1 + tiny) / 2**q, F(1)), st.integers(10, 20), mult)
-    elif kind == "factorial density":
+    elif kind == "density":
         rays = st.builds(ConstantRay, st.integers(-4, 14), st.integers(1, 3).map(Finite))
-        t_atoms = span(FactorialSeq(), st.integers(1, 6), draw(st.integers(1, 2)))
+        if draw(st.booleans()):
+            t_atoms = span(FactorialSeq(), st.integers(1, 6), draw(st.integers(1, 2)))
+        else:
+            t_atoms = [SparseRay(draw(st.integers(0, 14)))]
         t_atoms += draw(st.lists(rays, max_size=1))
-        cap = t_atoms[0].span.mult + sum(x.count.n for x in t_atoms[1:])
+        cap = sum(int(v) for _, v in conditions._Side(meas({}, tuple(t_atoms))).densities)
         s_atoms = [ConstantRay(draw(st.integers(-4, 14)), Finite(cap + draw(st.integers(0, 1))))]
     else:
         t_atoms = draw(st.lists(shared_atoms, min_size=1, max_size=2))
-        s_atoms = t_atoms if kind == "identical" else []
+        s_atoms = {"identical": t_atoms, "covered": t_atoms + [draw(shared_atoms)]}.get(kind, [])
     t, s = side(t_atoms), side(s_atoms)
     return (t, s, q) if draw(st.booleans()) else (s, t, q)
 
 
-def probe_branch(a, b, q):
-    """Which way _check_direction answers for a against b at q."""
+def certificate_branch(a, b, q):
+    """Which certificate _check_direction takes for a against b at q."""
     if conditions._untailed(a, b):
         return "untailed"
-    cert = conditions._tail_depth(a, b, q, conditions._structural_horizon(a, b, q))
-    if cert is None:
-        return "past the horizon" if conditions._single_spans(a, b) else "located"
-    return "no certificate" if isinstance(cert, str) else "short"
+    h_from = conditions._structural_horizon(a, b, q)
+    cert = conditions._tail_certificate(a, b, q, h_from)
+    if isinstance(cert, str):
+        return "note"
+    depth, bound, _ = cert
+    if bound is None:
+        return "density" if depth == h_from else "factorial density"
+    if a.generator_key == b.generator_key:
+        return "identical"
+    if conditions._covers(a, b):
+        return "covered"
+    return "span past the horizon" if depth > conditions._horizon(a, b, q) else "span"
 
 
 def test_probe_certifies_exactly_when_the_located_check_does():
@@ -1394,14 +1480,23 @@ def test_probe_certifies_exactly_when_the_located_check_does():
         t, s, q = case
         sa, sb = conditions._prepare(t, s)
         for a, b in ((sa, sb), (sb, sa)):
-            branches[probe_branch(a, b, q)] += 1
+            branches[certificate_branch(a, b, q)] += 1
             for k_min in (None, 0, 3, 10, 40):
                 probe = conditions._check_direction(a, b, q, k_min)
                 assert (probe is None) == (conditions._locate(a, b, q, k_min) is None)
 
     check()
     checked = sum(branches.values())
-    for branch in ("short", "no certificate", "past the horizon", "untailed", "located"):
+    for branch in (
+        "identical",
+        "covered",
+        "span",
+        "span past the horizon",
+        "density",
+        "factorial density",
+        "note",
+        "untailed",
+    ):
         assert branches[branch] >= checked // 25, branches
 
 
@@ -1452,7 +1547,7 @@ def bounded_density_cases(draw):
 
 def test_bounded_density_probes_certify_exactly_when_the_located_check_does():
     # The bounded-density certificate gives the depth h_from, so its probes
-    # scan only that far; _locate scans to the horizon first.
+    # scan only that far; the located check scans on to the horizon.
     outcomes = Counter()
 
     @given(bounded_density_cases())
@@ -1461,7 +1556,7 @@ def test_bounded_density_probes_certify_exactly_when_the_located_check_does():
         t, s, q = case
         a, b = conditions._prepare(t, s)
         h_from = conditions._structural_horizon(a, b, q)
-        branch = conditions._tail_depth(a, b, q, h_from) == (h_from, None)
+        branch = conditions._tail_certificate(a, b, q, h_from) == (h_from, None, None)
         for k_min in (None, 0, 3, 10, 40):
             probe = conditions._check_direction(a, b, q, k_min)
             assert (probe is None) == (conditions._locate(a, b, q, k_min) is None)
@@ -1478,15 +1573,42 @@ def test_factorial_spans_keep_the_located_check_at_small_delta(q):
     # At delta 1/100 the values 1/15! and 1/16! share a bucket, and such
     # pairs recur up to about 1/100!, far past h_from: a constant ray of one
     # value per bucket covers the span's cap of 1 only from there on, so a
-    # window starting at 10 fails, and the depth h_from must not certify it.
+    # window starting at 10 fails, and the depth h_from must not certify it:
+    # the certificate holds from the horizon.
     t = meas({}, (SeqRay(SeqSpan(FactorialSeq(), 1, 1)),), F(1, 100))
     s = meas({}, (ConstantRay(0, Finite(1)),), F(1, 100))
     a, b = conditions._prepare(t, s)
     h_from = conditions._structural_horizon(a, b, q)
-    assert conditions._tail_depth(a, b, q, h_from) is None
+    assert conditions._tail_certificate(a, b, q, h_from) == (conditions._horizon(a, b, q), None, None)
     window = conditions._locate(a, b, q, 10)
     assert window is not None and window[0] >= 10
     assert conditions._check_direction(a, b, q, 10) is not None
+
+
+def test_a_span_depth_past_the_horizon_is_scanned_to(monkeypatch):
+    # 1/n against (1 + 2^-200)/(4n) from n = 12, with S's eleven values at
+    # bucket 4 for the eleven terms its span lacks: the span bound holds from
+    # depth 200, past the horizon 169. The probe and the located check both
+    # scan to that depth before they certify, not to the horizon.
+    t = meas({-1: ALEPH0}, (SeqRay(SeqSpan(PowerSeq(F(1), F(1)))),))
+    y = PowerSeq((1 + F(1, 2**200)) / 4, F(1))
+    s = meas({-1: ALEPH0, 4: Finite(11)}, (SeqRay(SeqSpan(y, 12)),))
+    a, b = conditions._prepare(t, s)
+    h_from = conditions._structural_horizon(a, b, 2)
+    depth, bound, _ = conditions._tail_certificate(a, b, 2, h_from)
+    assert (depth, bound, conditions._horizon(a, b, 2)) == (200, 0, 169)
+    ends = []
+    scan = conditions._scan_to
+
+    def recording(a, b, q, k_min, h_end, *rest):
+        ends.append(h_end)
+        return scan(a, b, q, k_min, h_end, *rest)
+
+    monkeypatch.setattr(conditions, "_scan_to", recording)
+    assert conditions._check_direction(a, b, 2, None) is None
+    assert conditions._locate(a, b, 2, None) is None
+    assert ends == [200, 200]
+    assert a.base + len(a.cum) > 200 and b.base + len(b.cum) > 202
 
 
 def certifying_sides(monkeypatch, t, s, q_max):
@@ -1534,14 +1656,15 @@ def test_certified_factorial_prefix_counts_stop_past_the_last_explicit_bucket(mo
 def depth_from_h_from(monkeypatch):
     """Make identical generators certify from h_from, where every explicit
     bucket and every feature lies behind: the reference depth."""
-    real = conditions._tail_depth
+    real = conditions._tail_certificate
 
-    def tail_depth(a, b, q, h_from):
+    def tail_certificate(a, b, q, h_from):
+        got = real(a, b, q, h_from)
         if a.generator_key == b.generator_key:
-            return h_from, a.explicit_total - b.explicit_total
-        return real(a, b, q, h_from)
+            return h_from, *got[1:]
+        return got
 
-    monkeypatch.setattr(conditions, "_tail_depth", tail_depth)
+    monkeypatch.setattr(conditions, "_tail_certificate", tail_certificate)
 
 
 def aleph_after_surplus():
@@ -1558,7 +1681,8 @@ def test_identical_generators_scan_past_the_last_infinite_bucket():
     a, b = conditions._prepare(t, s)
     for q in (2, 3, 5):
         h_from = conditions._structural_horizon(a, b, q)
-        assert conditions._tail_depth(a, b, q, h_from) == (50 + q + 1, 2)
+        # Past the depth: D = 2, and the density fallback from h_from.
+        assert conditions._tail_certificate(a, b, q, h_from) == (50 + q + 1, 2, h_from)
         assert conditions._check_direction(a, b, q, None) is None
         assert conditions._locate(a, b, q, None) is None
 
@@ -1566,20 +1690,23 @@ def test_identical_generators_scan_past_the_last_infinite_bucket():
 def test_a_depth_short_of_the_last_cut_refuses_what_h_from_certifies(monkeypatch):
     # Stopping at the last explicit bucket, or at the end of b's cut
     # [50 - q, 50 + q], leaves the scan's last segment below the infinite
-    # bucket, whose V-minimum 0 lies below D = 2, so every probe fails.
+    # bucket, whose V-minimum 0 lies below D = 2, so every probe fails. The
+    # constant rays' density fallback would mask that, so the patched
+    # certificates answer the note instead.
     t, s = aleph_after_surplus()
-    real = conditions._tail_depth
+    real = conditions._tail_certificate
+    note = "identical tail generators but undominated explicit remainder"
 
     def explicit_only(a, b, q, h_from):
         ends = [*a.finite_explicit, *(j - q for j in b.finite_explicit)]
-        return max(ends, default=h_from), real(a, b, q, h_from)[1]
+        return max(ends, default=h_from), real(a, b, q, h_from)[1], note
 
     def inside_the_cut(a, b, q, h_from):
-        depth, bound = real(a, b, q, h_from)
-        return depth - 1, bound
+        depth, bound, _ = real(a, b, q, h_from)
+        return depth - 1, bound, note
 
-    for tail_depth in (explicit_only, inside_the_cut):
-        monkeypatch.setattr(conditions, "_tail_depth", tail_depth)
+    for tail_certificate in (explicit_only, inside_the_cut):
+        monkeypatch.setattr(conditions, "_tail_certificate", tail_certificate)
         assert condition_s_outcome(t, s, 8).q_used == 8
 
 
@@ -1802,15 +1929,18 @@ def exp_floor_beyond(side, j0, q):
 
 
 def certificate_with_floor(fired):
+    """The tail certificate with the floor: past the scan horizon, each
+    bucket of b holds at least the floor, and so pays for a's cap."""
     real = conditions._tail_certificate
 
-    def certify(a, b, q, h_scan, k_min, v_last):
-        got = real(a, b, q, h_scan, k_min, v_last)
+    def certify(a, b, q, h_from):
+        got = real(a, b, q, h_from)
         if got == "bounded tail density without a dominating coverage bound":
+            h_scan = conditions._horizon(a, b, q)
             floor = exp_floor_beyond(b, h_scan, q)
             if floor is not None and floor >= sum(v for _, v in a.densities):
                 fired.append((a, b, q))
-                return None
+                return h_scan, None, None
         return got
 
     return certify

@@ -8,12 +8,14 @@ import importlib
 import importlib.util
 import inspect
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def _load_tracer():
@@ -72,3 +74,29 @@ def test_power_range_counts_call_iroot_once_per_bucket(monkeypatch, p):
     counts = span.cum_range(Fraction(1, 2), -5, 60)
     assert len(calls) == len(counts) == 66
     assert counts[-1] == span.cum_to_bucket(Fraction(1, 2), 60)
+
+
+def test_certificate_targets_run_on_a_span_pair(monkeypatch):
+    # conditions.certificate_ms and conditions.span_dom_calls read zero when
+    # no decision reaches the functions the tracer wraps for them. Rebind
+    # each under every name that refers to it, as the tracer does, and
+    # decide a tail-certify document with one power span on each side.
+    from opequiv import cli
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("_tail_certificate", "_span_dom"):
+        real = getattr(importlib.import_module("opequiv.conditions"), name)
+        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "opequiv"]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted(name, real))
+    doc = FIXTURES / "tail-certify" / "00-power-3-strong.json"
+    cli.run("decide", cli.parse_spec(doc.read_text()))
+    assert calls["_tail_certificate"] > 0 and calls["_span_dom"] > 0, calls
