@@ -40,9 +40,20 @@ class Aleph:
 
 Cardinal = Union[Finite, Aleph]
 
-ZERO = Finite(0)
-ONE = Finite(1)
+# Finite(n) for 0 <= n < _SMALL_TOP, built once: most bucket counts are
+# small, and a Finite is immutable, so one instance per value serves every
+# measure.
+_SMALL_TOP = 1024
+_SMALL = tuple(Finite(n) for n in range(_SMALL_TOP))
+
+ZERO = _SMALL[0]
+ONE = _SMALL[1]
 ALEPH0 = Aleph(0)
+
+
+def finite(n: int) -> Finite:
+    """Finite(n), shared for small n."""
+    return _SMALL[n] if 0 <= n < _SMALL_TOP else Finite(n)
 
 
 def as_cardinal(value: Union[int, Cardinal]) -> Cardinal:
@@ -51,7 +62,7 @@ def as_cardinal(value: Union[int, Cardinal]) -> Cardinal:
         return value
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"not a cardinal: {value!r}")
-    return Finite(value)
+    return finite(value)
 
 
 def is_finite(c: Cardinal) -> bool:
@@ -66,7 +77,7 @@ def card_add(a: Cardinal, b: Cardinal) -> Cardinal:
         return b
     if isinstance(b, Finite):
         return a
-    return Aleph(max(a.level, b.level))
+    return a if a.level >= b.level else b
 
 
 def card_sum(items) -> Cardinal:
@@ -115,10 +126,8 @@ def card_to_json(c: Cardinal):
 
 def card_from_json(value) -> Cardinal:
     """Parse an int or an "aleph<level>" string."""
-    if isinstance(value, bool):
-        raise ValueError(f"not a cardinal: {value!r}")
-    if isinstance(value, int):
-        return Finite(value)
+    if type(value) is int:  # not a bool; finite(value), inlined for bucket counts
+        return _SMALL[value] if 0 <= value < _SMALL_TOP else Finite(value)
     if isinstance(value, str) and value.startswith("aleph"):
         level = canonical_int(value[5:])
         if level is not None and level >= 0:

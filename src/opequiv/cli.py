@@ -23,6 +23,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -111,8 +112,6 @@ _STRICT_RATIONAL = re.compile(_RATIONAL)
 
 
 def _frac(node, path: str) -> Fraction:
-    if isinstance(node, Fraction):  # internal defaults; JSON never produces these
-        return node
     if isinstance(node, bool):
         _fail(path, f"expected a rational, got {node!r}")
     if isinstance(node, float):
@@ -217,19 +216,33 @@ def _atom(node, path: str):
     _fail(f"{path}/kind", f"unknown tail-count kind {kind!r}")
 
 
+def _bucket_error(raw: dict, path: str):
+    """Raise the error of the first rejected entry of a "buckets" object, in
+    document order."""
+    for key, value in raw.items():
+        if canonical_int(key) is None:
+            _fail(f"{path}/buckets/{key}", f"bucket index {key!r} is not an integer in canonical form")
+        try:
+            card_from_json(value)
+        except ValueError as e:
+            _fail(f"{path}/buckets/{key}", str(e))
+
+
 def _measure(obj: dict, path: str) -> BucketMeasure:
-    buckets = {}
     raw = obj.get("buckets", {})
     if not isinstance(raw, dict):
         _fail(f"{path}/buckets", "expected an object mapping bucket index to count")
-    for key, value in raw.items():
-        j = canonical_int(key)
-        if j is None:
-            _fail(f"{path}/buckets/{key}", f"bucket index {key!r} is not an integer in canonical form")
-        try:  # the pointer is built only for a rejected entry
-            buckets[j] = card_from_json(value)
-        except ValueError as e:
-            _fail(f"{path}/buckets/{key}", str(e))
+    # All entries at once: a key is in canonical form exactly when it reads
+    # back as itself (canonical_int's test). The pointer is built only for a
+    # rejected entry.
+    try:
+        index = list(map(int, raw))
+        counts = list(map(card_from_json, raw.values()))
+    except ValueError:
+        index = None
+    if index is None or list(map(str, index)) != list(raw):
+        _bucket_error(raw, path)
+    buckets = dict(zip(index, counts))
     atoms = tuple(
         _atom(node, f"{path}/tails/{i}") for i, node in enumerate(obj.get("tails", ()))
     )
@@ -238,8 +251,8 @@ def _measure(obj: dict, path: str) -> BucketMeasure:
             delta=_frac(obj["delta"], f"{path}/delta"),
             buckets=buckets,
             atoms=atoms,
-            kernel_dim=_card(obj.get("kernel", 0), f"{path}/kernel"),
-            cokernel_dim=_card(obj.get("cokernel", 0), f"{path}/cokernel"),
+            kernel_dim=_card(obj["kernel"], f"{path}/kernel") if "kernel" in obj else ZERO,
+            cokernel_dim=_card(obj["cokernel"], f"{path}/cokernel") if "cokernel" in obj else ZERO,
         )
     except SchemaError:
         raise
@@ -408,6 +421,17 @@ def _parse_operator(node, path: str) -> tuple[OperatorSpec, Optional[tuple]]:
     _fail(f"{path}/kind", f"unknown operator kind {kind!r}")
 
 
+# Options that set an EngineParams field: key -> (field, reader). An option
+# the document leaves out keeps the field's default.
+_PARAM_OPTIONS = {
+    "delta": ("delta", _frac),
+    "svd_tol": ("svd_tol", _svd_tol),
+    "q_max": ("q_max", partial(_int, minimum=1)),
+    "N_max": ("n_max", partial(_int, minimum=1)),
+    "prefix_check": ("prefix_check", partial(_int, minimum=1)),
+}
+
+
 def parse_spec(text: str) -> SpecDocument:
     """Parse and validate a JSON input document."""
     try:
@@ -430,11 +454,11 @@ def parse_spec(text: str) -> SpecDocument:
     if mode_key not in _MODES:
         _fail("/options/mode", f"expected one of {tuple(_MODES)}, got {mode_key!r}")
     params = EngineParams(
-        delta=_frac(opts.get("delta", "1/2"), "/options/delta"),
-        svd_tol=_svd_tol(opts.get("svd_tol", Fraction(1, 10**9)), "/options/svd_tol"),
-        q_max=_int(opts.get("q_max", 64), "/options/q_max", 1),
-        n_max=_int(opts.get("N_max", 64), "/options/N_max", 1),
-        prefix_check=_int(opts.get("prefix_check", 256), "/options/prefix_check", 1),
+        **{
+            field: read(opts[key], f"/options/{key}")
+            for key, (field, read) in _PARAM_OPTIONS.items()
+            if key in opts
+        }
     )
     return SpecDocument(
         t=t,

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, repeat
 from operator import add, mul, sub
 from typing import Optional, Union
@@ -154,6 +155,13 @@ class _Tails:
 class _Side:
     """One measure, split into finite data and infinite features.
 
+    The measure's recorded facts are taken as they are: its finite explicit
+    counts (``finite_explicit``, read-only), their total, and its infinite
+    buckets and rays. Past them, the side keeps the extremes the direction
+    checks read at every widening: the last finite explicit bucket, the last
+    infinite bucket, and the first and last structural bucket (None when
+    there is none).
+
     ``cum[i]`` is the finite count in buckets <= ``base + i``; every count
     below ``base`` is zero. The list grows on demand to the highest bucket
     asked for, and each bucket's count is evaluated once. Sequence spans are
@@ -161,39 +169,35 @@ class _Side:
     """
 
     def __init__(self, m: BucketMeasure, tails: Optional[_Tails] = None):
-        self.delta = m.delta
-        self.tails = tails = _Tails(m.delta) if tails is None else tails
-        self.finite_explicit = {
-            j: c.n for j, c in m.buckets.items() if not isinstance(c, Aleph)
-        }
-        self.aleph_points = m.aleph_points()
-        self.aleph_rays = m.aleph_rays()
-        self.aleph_ray_start = (
-            min(s for s, _ in self.aleph_rays) if self.aleph_rays else None
-        )
+        self.delta = delta = m.delta
+        self.tails = tails = _Tails(delta) if tails is None else tails
+        self.finite_explicit = explicit = m._finite
+        self.explicit_total = m._finite_total
+        self.aleph_points = m._aleph_points
+        self.aleph_rays = m._aleph_rays
+        self.aleph_ray_start = self.aleph_rays[0][0] if self.aleph_rays else None
         self.finite_atoms = tuple(
-            a
-            for a in m.atoms
-            if not (isinstance(a, ConstantRay) and isinstance(a.count, Aleph))
+            a for a in m.atoms if not (isinstance(a, ConstantRay) and isinstance(a.count, Aleph))
         )
         # (atom, its span's shared counts, or None for other atoms)
         self.atom_counts = [
             (a, tails.counts(a) if isinstance(a, SeqRay) else None) for a in self.finite_atoms
         ]
-        firsts = list(self.finite_explicit)
-        firsts.extend(
-            a.first_bucket(self.delta) if c is None else c.first for a, c in self.atom_counts
-        )
+        firsts = list(explicit)
+        firsts.extend(a.first_bucket(delta) if c is None else c.first for a, c in self.atom_counts)
         self.base = min(firsts) - 1 if firsts else 0
         # Buckets where a feature begins; fixed per side, so found once.
         self.structural = (
             firsts + [j for j, _ in self.aleph_points] + [s for s, _ in self.aleph_rays]
         )
+        self.first_structural = min(self.structural, default=None)
+        self.last_structural = max(self.structural, default=None)
+        self.last_explicit = max(explicit, default=None)
+        self.last_aleph = self.aleph_points[-1][0] if self.aleph_points else None
         # Tail facts the certificates read at every widening, the stretch at q_max.
         self.generator_key = sorted(map(_ray_like, self.finite_atoms))
         self.spans = [x.span for x in self.finite_atoms if isinstance(x, SeqRay)]
-        self.densities = [_rule_density(x, self.delta) for x in self.finite_atoms]
-        self.explicit_total = sum(self.finite_explicit.values())
+        self.densities = [_rule_density(x, delta) for x in self.finite_atoms]
         self.cum = [0]
         self._explicit_run = 0  # explicit count in buckets <= the list's top
 
@@ -276,16 +280,8 @@ def _aleph_coverage(a: _Side, b: _Side, q: int, k_min: Optional[int]):
     an infinite bucket of ``a``: cardinal sums absorb all finite content, and
     the highest-level position's own [j, j] window is checked here.
     """
-
-    def in_scope(j: int) -> bool:
-        return k_min is None or j >= k_min
-
-    def covered(j: int, level: int) -> bool:
-        got = b.aleph_at_or_reaching(j - q, j + q)
-        return got is not None and got >= level
-
     for j, lev in a.aleph_points:
-        if in_scope(j) and not covered(j, lev):
+        if (k_min is None or j >= k_min) and not _aleph_covered(b, j, q, lev):
             return (j, 1)
     for s, lev in a.aleph_rays:
         start = s if k_min is None else max(s, k_min)
@@ -295,9 +291,15 @@ def _aleph_coverage(a: _Side, b: _Side, q: int, k_min: Optional[int]):
             beyond = [bj + q + 1 for bj, bl in b.aleph_points if bl >= lev]
             return (max([start] + beyond), 1)
         for j in range(start, min(ray_starts) - q):
-            if not covered(j, lev):
+            if not _aleph_covered(b, j, q, lev):
                 return (j, 1)
     return None
+
+
+def _aleph_covered(b: _Side, j: int, q: int, level: int) -> bool:
+    """Whether b has an infinite bucket of at least ``level`` in reach of j."""
+    got = b.aleph_at_or_reaching(j - q, j + q)
+    return got is not None and got >= level
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +500,15 @@ def _span_dom(a: _Side, b: _Side, q: int, h_from: int) -> tuple[Optional[int], O
 
 
 def _ray_like(atom) -> tuple:
+    """A sortable key that two finite tail atoms share exactly when equal."""
     if isinstance(atom, SeqRay):
         s = atom.span
         return ("seq", type(s.model).__name__, repr(s.model), s.start, s.mult)
-    return (type(atom).__name__, repr(atom))
+    if isinstance(atom, ConstantRay):
+        return ("const", atom.start, atom.count.n)
+    if isinstance(atom, GeometricRay):
+        return ("geometric", atom.start, atom.base)
+    return ("sparse", atom.start)  # a SparseRay
 
 
 def _bounded_span_width(model: GeometricSeq, delta: Fraction) -> int:
@@ -626,8 +633,11 @@ def _shared_depth(a: _Side, b: _Side, q: int, h_from: int) -> int:
     a's [j, j] or b's [j - q, j + q], so the scan's last segment starts past
     every cut, and the probe and the located check read their V-minimum
     over the same buckets up to the depth. At most h_from."""
-    ends = [j + q + 1 for j, _ in a.aleph_points + b.aleph_points]
-    ends += [*a.finite_explicit, *(j - q for j in b.finite_explicit)]
+    ends = [j + q + 1 for j in (a.last_aleph, b.last_aleph) if j is not None]
+    if a.last_explicit is not None:
+        ends.append(a.last_explicit)
+    if b.last_explicit is not None:
+        ends.append(b.last_explicit - q)
     return min(h_from, max(ends, default=h_from))
 
 
@@ -678,7 +688,8 @@ def _sparse_depth(a: _Side, b: _Side, q: int) -> int:
 def _structural_horizon(a: _Side, b: _Side, q: int) -> int:
     """h_from: past it, and q buckets below it, every explicit bucket and every
     feature's first bucket lies behind."""
-    return max(a.structural + b.structural, default=0) + q + 2
+    tops = [j for j in (a.last_structural, b.last_structural) if j is not None]
+    return max(tops, default=0) + q + 2
 
 
 def _horizon(a: _Side, b: _Side, q: int) -> int:
@@ -696,10 +707,9 @@ def _scan_to(
 ) -> tuple[Optional[tuple[int, int]], int]:
     """(first violating window of a, last segment's V-minimum) over the
     windows not settled by infinite buckets that end at or below h_end. With
-    v_end set (at or above the last segment's start, at most h_end), the
-    V-minimum is read up to v_end alone, from the counts the scan has grown:
-    a scan to v_end would read the same, unless no window of the last
-    segment starts at or below v_end."""
+    v_end set (at most h_end), the V-minimum is the one a scan to v_end
+    reads: that of the last segment starting at or below v_end, read up to
+    v_end, or 0 when no window of that segment starts at or below it."""
     hit = _aleph_coverage(a, b, q, k_min)
     if hit is not None:
         return hit, 0
@@ -711,10 +721,10 @@ def _scan_to(
         c = b.aleph_ray_start - q - 1
         hi_cap = c if hi_cap is None else min(hi_cap, c)
 
-    structural = a.structural + b.structural
-    if not structural:
+    firsts = [j for j in (a.first_structural, b.first_structural) if j is not None]
+    if not firsts:
         return None, 0
-    lo = min(structural) - q - 2
+    lo = min(firsts) - q - 2
     if k_min is not None:
         lo = max(lo, k_min)
     # Ray starts are structural, so hi_cap (when set) lies below h_from.
@@ -733,16 +743,22 @@ def _scan_to(
         j = max(j, cut_hi + 1)
     # a holds nothing at or below its base, so no window there fails; only
     # the last segment's V-minimum is read.
-    segments = [s for s in segments[:-1] if s[1] > a.base] + segments[-1:]
     v_last = 0
-    for seg_lo, seg_hi in segments:
+    for seg_lo, seg_hi in [s for s in segments[:-1] if s[1] > a.base] + segments[-1:]:
         got, v_last = _scan_segment(a, b, q, seg_lo, seg_hi, k_min)
         if got is not None:
             return got, 0
-    if v_end is not None and segments:
-        top = seg_lo - 1 if k_min is None else max(seg_lo, k_min) - 1
-        if top < v_end:
-            v_last = min(map(sub, a.cum_range(top, v_end), b.cum_range(top - q, v_end - q)))
+    if v_end is not None:
+        # What a scan to v_end reads: the V-minimum of its last segment,
+        # the last one that starts at or below v_end, cut at v_end.
+        reached = [s for s in segments if s[0] <= v_end]
+        v_last = 0
+        if reached:
+            seg_lo, seg_hi = reached[-1]
+            top = (seg_lo if k_min is None else max(seg_lo, k_min)) - 1
+            end = min(seg_hi, v_end)
+            if top < end:
+                v_last = min(map(sub, a.cum_range(top, end), b.cum_range(top - q, end - q)))
     return None, v_last
 
 
@@ -798,20 +814,15 @@ def _align_seq_rays(a: BucketMeasure, b: BucketMeasure):
     """Equalize start indices of equal-parameter sequence atoms by moving the
     earlier side's leading terms into explicit buckets (exact values only)."""
 
-    def split(m: BucketMeasure):
-        seqs = [x for x in m.atoms if isinstance(x, SeqRay)]
-        rest = [x for x in m.atoms if not isinstance(x, SeqRay)]
-        return seqs, rest
-
-    sa, ra = split(a)
-    sb, rb = split(b)
+    sa = [x for x in a.atoms if isinstance(x, SeqRay)]
+    sb = [x for x in b.atoms if isinstance(x, SeqRay)]
     if len(sa) != 1 or len(sb) != 1:
         return a, b
     pa, pb = sa[0].span, sb[0].span
     if pa.model != pb.model or pa.mult != pb.mult or pa.start == pb.start:
         return a, b
 
-    def advance(m: BucketMeasure, span: SeqSpan, to_start: int, rest) -> BucketMeasure:
+    def advance(m: BucketMeasure, span: SeqSpan, to_start: int) -> BucketMeasure:
         buckets = dict(m.buckets)
         for idx in range(span.start, to_start):
             v = term_value(span.model, idx)
@@ -819,12 +830,13 @@ def _align_seq_rays(a: BucketMeasure, b: BucketMeasure):
                 return m  # irrational leading values: leave unaligned
             jj = bucket_index(v, m.delta)
             buckets[jj] = card_add(buckets.get(jj, ZERO), Finite(span.mult))
-        atoms = tuple(rest) + (SeqRay(SeqSpan(span.model, to_start, span.mult)),)
+        rest = tuple(x for x in m.atoms if not isinstance(x, SeqRay))
+        atoms = rest + (SeqRay(SeqSpan(span.model, to_start, span.mult)),)
         return BucketMeasure(m.delta, buckets, atoms, m.kernel_dim, m.cokernel_dim)
 
     if pa.start < pb.start:
-        return advance(a, pa, pb.start, ra), b
-    return a, advance(b, pb, pa.start, rb)
+        return advance(a, pa, pb.start), b
+    return a, advance(b, pb, pa.start)
 
 
 # ---------------------------------------------------------------------------
@@ -893,18 +905,17 @@ def _covering_floor(sa: _Side, sb: _Side, q_max: int, k_min: Optional[int]) -> i
             if k_min is not None and j < k_min:
                 continue
             need = x.grown_count(j, j)
-            if need is None:
-                continue
-
-            def covered(q: int) -> bool:
-                if y.aleph_at_or_reaching(j - q, j + q) is not None:
-                    return True
-                got = y.grown_count(j - q, j + q)
-                return got is None or got >= need
-
-            if not covered(best):
-                best = least_true(covered, best, q_max)
+            if need is not None and not _bucket_covered(y, j, need, best):
+                best = least_true(partial(_bucket_covered, y, j, need), best, q_max)
     return best - 1
+
+
+def _bucket_covered(y: _Side, j: int, need: int, q: int) -> bool:
+    """Whether y's [j - q, j + q] covers a count of ``need`` at bucket j: by
+    at least as many finite values (or a count the q_max check has not
+    grown), or by an infinite bucket in reach. The count is read first."""
+    got = y.grown_count(j - q, j + q)
+    return got is None or got >= need or y.aleph_at_or_reaching(j - q, j + q) is not None
 
 
 def _search(

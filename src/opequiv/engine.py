@@ -116,8 +116,10 @@ class EngineParams:
     prefix_check: int = 256
 
     def __post_init__(self):
-        object.__setattr__(self, "delta", check_delta(Fraction(self.delta)))
-        object.__setattr__(self, "svd_tol", Fraction(self.svd_tol))
+        # A Fraction given is kept as it is.
+        object.__setattr__(self, "delta", check_delta(self.delta))
+        if type(self.svd_tol) is not Fraction:
+            object.__setattr__(self, "svd_tol", Fraction(self.svd_tol))
         if self.svd_tol < 0:
             raise SpecError(f"svd_tol must be >= 0, got {self.svd_tol}")
         if self.q_max < 1 or self.n_max < 1 or self.prefix_check < 1:
@@ -439,9 +441,9 @@ def bucket_function(
     ``nm`` is an explicit (N, M); by default N = 1 and M is the top of the
     highest occupied bucket, at least 1.
     """
-    if m.atoms or m.aleph_points():
+    if m.atoms or m._aleph_points:
         raise SpecError(f"match needs finitely many finite buckets on {label}")
-    counts = {j: c.n for j, c in m.buckets.items()}
+    counts = m._finite  # BucketFunction keeps its own copy
     if nm is not None:
         n_cut, cap = nm
     else:

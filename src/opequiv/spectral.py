@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from itertools import chain
 from typing import Mapping, Optional, Sequence, Union
@@ -20,6 +20,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .cardinal import (
+    ALEPH0,
     ZERO,
     Aleph,
     Cardinal,
@@ -27,8 +28,8 @@ from .cardinal import (
     as_cardinal,
     card_add,
     card_scale,
-    card_sum,
     card_to_json,
+    finite,
     is_finite,
 )
 from .errors import (
@@ -79,7 +80,7 @@ class ConstantRay:
 
     def total(self) -> Cardinal:
         # Infinitely many buckets, each nonzero.
-        return self.count if isinstance(self.count, Aleph) else Aleph(0)
+        return self.count if isinstance(self.count, Aleph) else ALEPH0
 
     def first_bucket(self, delta: Fraction) -> int:
         return self.start
@@ -109,7 +110,7 @@ class GeometricRay:
         return Finite((b ** (h + 1) - b**lo) // (b - 1))
 
     def total(self) -> Cardinal:
-        return Aleph(0)
+        return ALEPH0
 
     def first_bucket(self, delta: Fraction) -> int:
         return self.start
@@ -130,7 +131,7 @@ class SparseRay:
         return Finite(sparse_rule_count(delta, max(k, self.start), h))
 
     def total(self) -> Cardinal:
-        return Aleph(0)
+        return ALEPH0
 
     def first_bucket(self, delta: Fraction) -> int:
         s = max(0, self.start)
@@ -153,7 +154,7 @@ class SeqRay:
         return Finite(got)
 
     def total(self) -> Cardinal:
-        return Aleph(0)
+        return ALEPH0
 
     def first_bucket(self, delta: Fraction) -> int:
         return self.span.first_bucket(delta)
@@ -166,13 +167,31 @@ TailAtom = Union[ConstantRay, GeometricRay, SparseRay, SeqRay]
 # Bucket measures
 
 
-@dataclass(frozen=True)
+def _cardinal(value, what: str) -> Cardinal:
+    """as_cardinal(value), with SpecError naming ``what`` for a value that is
+    neither a cardinal nor an int >= 0."""
+    try:
+        return as_cardinal(value)
+    except (TypeError, ValueError):
+        raise SpecError(
+            f"{what} must be a cardinal (Finite, Aleph or an int >= 0), got {value!r}"
+        ) from None
+
+
+@dataclass(frozen=True, init=False)
 class BucketMeasure:
     """Spectral dimension per bucket, plus kernel and cokernel dimensions.
 
     ``buckets`` holds explicit counts; ``atoms`` contribute additively on top
     for all indices they cover. Zero explicit entries are dropped on
-    construction.
+    construction. ``buckets`` is read-only once built.
+
+    Construction validates every count in one pass and records what the
+    decisions read, so that no later call walks the buckets again:
+    ``_finite`` maps each finite explicit bucket to its count as an int,
+    ``_finite_total`` is their sum, ``_aleph_points`` the infinite explicit
+    buckets and ``_aleph_rays`` the infinite constant atoms, each as a
+    sorted tuple of (index, level), and ``_mass`` the total mass.
     """
 
     delta: Fraction
@@ -181,21 +200,51 @@ class BucketMeasure:
     kernel_dim: Cardinal = ZERO
     cokernel_dim: Cardinal = ZERO
 
-    def __post_init__(self):
-        object.__setattr__(self, "delta", check_delta(self.delta))
-        clean = {}
-        for j, c in self.buckets.items():
-            c = as_cardinal(c) if isinstance(c, int) else c
+    def __init__(
+        self,
+        delta: Fraction,
+        buckets: Mapping[int, Cardinal],
+        atoms: tuple[TailAtom, ...] = (),
+        kernel_dim: Cardinal = ZERO,
+        cokernel_dim: Cardinal = ZERO,
+    ):
+        delta = check_delta(delta)
+        clean, counts, points = {}, {}, []
+        for j, c in buckets.items():
             if not isinstance(j, int):
                 raise SpecError(f"bucket index must be an integer, got {j!r}")
-            if c.n != 0 if isinstance(c, Finite) else c != ZERO:
+            if not isinstance(c, Finite):
+                if isinstance(c, Aleph):
+                    clean[j] = c
+                    points.append((j, c.level))
+                    continue
+                c = _cardinal(c, f"bucket {j}")
+            if c.n:
                 clean[j] = c
-        object.__setattr__(self, "buckets", clean)
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        for field in ("kernel_dim", "cokernel_dim"):
-            value = getattr(self, field)
-            if isinstance(value, int):
-                object.__setattr__(self, field, as_cardinal(value))
+                counts[j] = c.n
+        atoms = tuple(atoms)
+        total = sum(counts.values())
+        infinite = [clean[j] for j, _ in points]
+        rays = []
+        for a in atoms:
+            infinite.append(a.total())
+            if isinstance(a, ConstantRay) and isinstance(a.count, Aleph):
+                rays.append((a.start, a.count.level))
+        points.sort()
+        rays.sort()
+        # Frozen: the fields and the facts go in with one update.
+        vars(self).update(
+            delta=delta,
+            buckets=clean,
+            atoms=atoms,
+            kernel_dim=_cardinal(kernel_dim, "kernel_dim"),
+            cokernel_dim=_cardinal(cokernel_dim, "cokernel_dim"),
+            _finite=counts,
+            _finite_total=total,
+            _aleph_points=tuple(points),
+            _aleph_rays=tuple(rays),
+            _mass=reduce(card_add, infinite, finite(total)),
+        )
 
     # -- pointwise and window counts
 
@@ -220,34 +269,25 @@ class BucketMeasure:
     # -- totals and classification
 
     def total_mass(self) -> Cardinal:
-        total = card_sum(self.buckets.values())
-        for atom in self.atoms:
-            total = card_add(total, atom.total())
-        return total
+        return self._mass
 
     def domain_dim(self) -> Cardinal:
-        return card_add(self.total_mass(), self.kernel_dim)
+        return card_add(self._mass, self.kernel_dim)
 
     def codomain_dim(self) -> Cardinal:
-        return card_add(self.total_mass(), self.cokernel_dim)
+        return card_add(self._mass, self.cokernel_dim)
 
     def aleph_points(self) -> list[tuple[int, int]]:
         """Explicit infinite buckets as sorted (index, aleph level) pairs."""
-        return sorted(
-            (j, c.level) for j, c in self.buckets.items() if isinstance(c, Aleph)
-        )
+        return list(self._aleph_points)
 
     def aleph_rays(self) -> list[tuple[int, int]]:
         """(start, level) for each constant atom with an infinite count."""
-        return sorted(
-            (a.start, a.count.level)
-            for a in self.atoms
-            if isinstance(a, ConstantRay) and isinstance(a.count, Aleph)
-        )
+        return list(self._aleph_rays)
 
     def is_compact(self) -> bool:
         """Every bucket finite-dimensional: no infinite bucket or infinite ray."""
-        return not self.aleph_points() and not self.aleph_rays()
+        return not self._aleph_points and not self._aleph_rays
 
     def has_closed_range(self) -> bool:
         """Spectrum bounded away from zero: no counts beyond some bucket."""

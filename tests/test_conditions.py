@@ -390,6 +390,66 @@ def test_count_array_matches_direct_sum(m, hs, lo, width):
     assert side.cum_range(lo, hi) == [oracle_cum(m, h) for h in range(lo, hi + 1)]
 
 
+fact_counts = st.one_of(
+    st.integers(0, 4),  # plain ints are coerced, zeros dropped
+    st.integers(0, 4).map(Finite),
+    st.integers(0, 2).map(Aleph),
+)
+fact_atoms = st.one_of(
+    st.builds(ConstantRay, st.integers(-4, 12), st.integers(1, 3).map(Finite)),
+    st.builds(ConstantRay, st.integers(-4, 12), st.integers(0, 2).map(Aleph)),
+    st.builds(
+        lambda model, start, mult: SeqRay(SeqSpan(model, start, mult)),
+        st.sampled_from([PowerSeq(F(1), F(1)), GeometricSeq(F(1), F(1, 3)), FactorialSeq()]),
+        st.integers(1, 4),
+        st.integers(1, 2),
+    ),
+)
+
+
+@given(
+    st.dictionaries(st.integers(-6, 14), fact_counts, max_size=6),
+    st.lists(fact_atoms, max_size=3),
+    st.one_of(st.integers(0, 3).map(Finite), st.integers(0, 2).map(Aleph)),
+    st.one_of(st.integers(0, 3).map(Finite), st.integers(0, 2).map(Aleph)),
+)
+@settings(max_examples=150, deadline=None)
+def test_recorded_facts_match_a_recomputation(given_buckets, atoms, kernel, cokernel):
+    m = BucketMeasure(HALF, given_buckets, tuple(atoms), kernel, cokernel)
+    assert set(m.buckets) == {j for j, c in given_buckets.items() if c not in (0, Finite(0))}
+
+    def infinite_ray(a):
+        return isinstance(a, ConstantRay) and isinstance(a.count, Aleph)
+
+    finite = {j: c.n for j, c in m.buckets.items() if isinstance(c, Finite)}
+    points = sorted((j, c.level) for j, c in m.buckets.items() if isinstance(c, Aleph))
+    rays = sorted((a.start, a.count.level) for a in m.atoms if infinite_ray(a))
+    # Every atom covers infinitely many nonempty buckets.
+    mass = card_sum([*m.buckets.values(), *(a.count if infinite_ray(a) else ALEPH0 for a in m.atoms)])
+    assert m.aleph_points() == points and m.aleph_rays() == rays
+    assert m.total_mass() == mass
+    assert m.is_compact() == (not points and not rays)
+    assert m.domain_dim() == card_add(mass, kernel)
+    assert m.codomain_dim() == card_add(mass, cokernel)
+    # The methods hand out fresh lists.
+    m.aleph_points().append((99, 0))
+    m.aleph_rays().append((99, 0))
+    assert m.aleph_points() == points and m.aleph_rays() == rays
+
+    side = conditions._Side(m)
+    firsts = [*finite, *(a.first_bucket(HALF) for a in m.atoms if not infinite_ray(a))]
+    structural = firsts + [j for j, _ in points] + [s for s, _ in rays]
+    assert side.finite_explicit == finite and side.explicit_total == sum(finite.values())
+    assert list(side.aleph_points) == points and list(side.aleph_rays) == rays
+    assert side.aleph_ray_start == min((s for s, _ in rays), default=None)
+    assert side.base == (min(firsts) - 1 if firsts else 0)
+    assert sorted(side.structural) == sorted(structural)
+    assert side.first_structural == min(structural, default=None)
+    assert side.last_structural == max(structural, default=None)
+    assert side.last_explicit == max(finite, default=None)
+    assert side.last_aleph == max((j for j, _ in points), default=None)
+
+
 def test_growing_a_power_tail_side_counts_no_bucket_by_bucket(monkeypatch):
     calls = []
     real = tails.count_ge
@@ -1690,9 +1750,10 @@ def test_identical_generators_scan_past_the_last_infinite_bucket():
 def test_a_depth_short_of_the_last_cut_refuses_what_h_from_certifies(monkeypatch):
     # Stopping at the last explicit bucket, or at the end of b's cut
     # [50 - q, 50 + q], leaves the scan's last segment below the infinite
-    # bucket, whose V-minimum 0 lies below D = 2, so every probe fails. The
-    # constant rays' density fallback would mask that, so the patched
-    # certificates answer the note instead.
+    # bucket, whose V-minimum 0 lies below D = 2, so every probe fails, and
+    # the q_max check, which reads the V-minimum at the same depth, fails
+    # with them. The constant rays' density fallback would mask that, so the
+    # patched certificates answer the note instead.
     t, s = aleph_after_surplus()
     real = conditions._tail_certificate
     note = "identical tail generators but undominated explicit remainder"
@@ -1707,7 +1768,36 @@ def test_a_depth_short_of_the_last_cut_refuses_what_h_from_certifies(monkeypatch
 
     for tail_certificate in (explicit_only, inside_the_cut):
         monkeypatch.setattr(conditions, "_tail_certificate", tail_certificate)
-        assert condition_s_outcome(t, s, 8).q_used == 8
+        with pytest.raises(UnsupportedTailError, match=note):
+            condition_s_outcome(t, s, 8)
+
+
+def test_a_short_depth_is_read_alike_by_the_probe_and_the_located_check(monkeypatch):
+    # The patched depths of the test above end below the last segment's
+    # start (explicit_only) or inside the infinite bucket's cut
+    # (inside_the_cut). The located check scans on to the horizon and must
+    # read the V-minimum the probe reads at that depth: over the last
+    # segment that starts at or below it, up to it.
+    t, s = aleph_after_surplus()
+    a, b = conditions._prepare(t, s)
+    real = conditions._tail_certificate
+    note = "identical tail generators but undominated explicit remainder"
+
+    def explicit_only(a, b, q, h_from):
+        ends = [*a.finite_explicit, *(j - q for j in b.finite_explicit)]
+        return max(ends, default=h_from), real(a, b, q, h_from)[1], note
+
+    def inside_the_cut(a, b, q, h_from):
+        depth, bound, _ = real(a, b, q, h_from)
+        return depth - 1, bound, note
+
+    for tail_certificate in (explicit_only, inside_the_cut):
+        monkeypatch.setattr(conditions, "_tail_certificate", tail_certificate)
+        for q in range(1, 9):
+            for x, y in ((a, b), (b, a)):
+                probe = conditions._check_direction(x, y, q, None)
+                located = conditions._locate(x, y, q, None)
+                assert (probe is None) == (located is None), (tail_certificate.__name__, q)
 
 
 @pytest.mark.parametrize("q_max", [32, 40, 48])

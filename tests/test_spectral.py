@@ -158,6 +158,17 @@ def test_measure_rejects_non_integer_bucket():
         meas({"0": Finite(1)})
 
 
+@pytest.mark.parametrize("bad", ["x", 1.5, F(1, 2), None, True, -1])
+def test_measure_rejects_counts_that_are_not_cardinals(bad):
+    # One validation pass at construction: a decision never meets such a
+    # count (it used to die on ``.n`` or with a bare TypeError).
+    with pytest.raises(SpecError, match=r"^bucket 3 must be a cardinal .* got "):
+        meas({0: 2, 3: bad})
+    for field in ("kernel_dim", "cokernel_dim"):
+        with pytest.raises(SpecError, match=rf"^{field} must be a cardinal .* got "):
+            BucketMeasure(HALF, {0: 2}, **{field: bad})
+
+
 def test_count_at_adds_atoms_to_explicit():
     m = meas({2: Finite(5)}, atoms=(ConstantRay(2, Finite(1)),))
     assert m.count_at(1) == ZERO

@@ -14,9 +14,11 @@ For each side it prints the best-of ``ops_per_s`` (ops over the sum of each
 operation's fastest time, as ``perfbench/run.py`` reports it) and the median
 of those fastest times, then in how many rounds the change's round was the
 faster, the median and interquartile range of the per-round ratio of the
-change's round time to the parent's, and whether the two sides' first-round
-reports agree byte for byte. The best-of figure rests on each side's few
-fastest rounds; the median ratio reads every round.
+change's round time to the parent's, whether the two sides' first-round
+reports agree byte for byte, and whether every later round of each side
+reproduces that side's first round, as ``perfbench/run.py`` requires. The
+best-of figure rests on each side's few fastest rounds; the median ratio
+reads every round.
 A table follows: each operation's fastest time on each side, and the
 change's over the parent's.
 
@@ -78,7 +80,8 @@ class Side:
         )
         self.ops = self._read()["ops"]
         self.rounds: list[list[float]] = []
-        self.digest = None
+        self.digest = None  # the first round's
+        self.drifted = False  # a later round's digest differs from it
 
     def _read(self) -> dict:
         line = self.proc.stdout.readline()
@@ -91,7 +94,10 @@ class Side:
         self.proc.stdin.flush()
         got = self._read()
         self.rounds.append(got["times"])
-        self.digest = self.digest or got["digest"]
+        if self.digest is None:
+            self.digest = got["digest"]
+        elif got["digest"] != self.digest:
+            self.drifted = True
 
     def best(self) -> list[float]:
         return [min(r[i] for r in self.rounds) for i in range(len(self.ops))]
@@ -142,6 +148,8 @@ def main(argv=None) -> int:
     print(f"per-round change/parent time: median {median:.3f}, "
           f"interquartile range {q1:.3f}-{q3:.3f}")
     print(f"first-round reports: {'identical' if parent.digest == change.digest else 'DIFFERENT'}")
+    drifted = [label for label, side in (("parent", parent), ("change", change)) if side.drifted]
+    print(f"later rounds: {'DIFFERENT on ' + ' and '.join(drifted) if drifted else 'identical'}")
     width = max(map(len, parent.ops))
     print(f"\n{'operation':<{width}}  parent ms  change ms  change/parent")
     for name, p, c in zip(parent.ops, parent.best(), change.best()):
