@@ -474,13 +474,9 @@ def parse_spec(text: str) -> SpecDocument:
 # Serialization
 
 
-def _frac_json(f: Fraction) -> str:
-    return str(f)
-
-
 def spec_to_json(spec: OperatorSpec, nm: Optional[tuple] = None) -> dict:
     if isinstance(spec, CompactDiagonal):
-        out = {"kind": "compact_diagonal", "prefix": [_frac_json(v) for v in spec.prefix]}
+        out = {"kind": "compact_diagonal", "prefix": [str(v) for v in spec.prefix]}
         if not isinstance(spec.tail, ZeroTail):
             out["tail"] = model_json(spec.tail)
         if spec.kernel_dim != ZERO:
@@ -497,14 +493,14 @@ def spec_to_json(spec: OperatorSpec, nm: Optional[tuple] = None) -> dict:
     if isinstance(spec, ScaledIdentity):
         return {
             "kind": "scaled_identity",
-            "value": _frac_json(spec.value),
+            "value": str(spec.value),
             "dim": card_to_json(spec.dim),
         }
     if isinstance(spec, Buckets):
         out = {"kind": "buckets"}
         out.update(spec.measure.to_json())
         if nm is not None:
-            out["N"], out["M"] = nm[0], _frac_json(nm[1])
+            out["N"], out["M"] = nm[0], str(nm[1])
         return out
     if isinstance(spec, DirectSum):
         return {
@@ -521,8 +517,8 @@ def serialize_document(doc: SpecDocument) -> dict:
         "T": spec_to_json(doc.t, doc.bucket_nm[0]),
         "S": spec_to_json(doc.s, doc.bucket_nm[1]),
         "options": {
-            "delta": _frac_json(doc.params.delta),
-            "svd_tol": _frac_json(doc.params.svd_tol),
+            "delta": str(doc.params.delta),
+            "svd_tol": str(doc.params.svd_tol),
             "q_max": doc.params.q_max,
             "N_max": doc.params.n_max,
             "prefix_check": doc.params.prefix_check,
@@ -547,7 +543,7 @@ def witness_to_json(w: EquivalenceWitness) -> dict:
             for a, b in w.pairing
         ]
     return {
-        "delta_prime": None if w.delta_prime is None else _frac_json(w.delta_prime),
+        "delta_prime": None if w.delta_prime is None else str(w.delta_prime),
         "extension_side": side,
         "shift": w.shift,
         "pairing": pairing,
@@ -569,7 +565,7 @@ def match_to_json(r: MatchResult) -> dict:
         "case": r.case_tag,
         "pairing": r.pairing,  # json writes its nested tuples as arrays
         "padding": card_to_json(r.padding),
-        "delta_prime": _frac_json(r.delta_prime),
+        "delta_prime": str(r.delta_prime),
     }
 
 
@@ -714,6 +710,11 @@ def main(argv: Optional[list] = None) -> int:
     except ValueError as e:  # SpecError and friends subclass ValueError
         print(json.dumps({"error": type(e).__name__, "message": str(e)}))
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:  # parsing and reduction recurse once per nesting level
+        message = "the document nests too deeply"
+        print(json.dumps({"error": "SpecError", "message": message}))
+        print(f"error: {message}", file=sys.stderr)
         return 2
     print(json.dumps(report, indent=2))
     if summary:

@@ -17,14 +17,13 @@ tail atoms (_tail_certificate). It gives the depth from which it holds (a's
 tail generators among b's, one same-family span on each side, or a's bounded
 per-bucket density against b's constant rays), the bound the scan's
 V-minimum must reach there, and the note a failed bound answers; or a note
-alone when no certificate can apply. Probes only ask whether a widening
-certifies, and scan only up to that depth, often the last explicit bucket
-plus the widening, or not at all after a note alone. A direction the q_max
-check does not certify is located by the same check with the scan run on to
-a fixed horizon, so that a refusal reports the first window up to there;
-without a certificate it is scanned past the horizon for a re-checkable
-window, raising UnsupportedTailError, rather than guessing, when none turns
-up.
+alone when no certificate can apply. One probe decides whether a
+widening certifies, scanning only up to that depth, often the last explicit
+bucket plus the widening, or not at all after a note alone. A refusal at
+q_max is then only located: it reports the first window up to a fixed
+horizon, or the probe's own window where that comes first; after a note it
+is scanned past the horizon for a re-checkable window, raising
+UnsupportedTailError, rather than guessing, when none turns up.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ from .tails import (
     term_value,
 )
 
-# Buckets the located check scans past h_from (the last structural feature
+# Buckets _locate scans past h_from (the last structural feature
 # plus the widening), so that a refusal reports the first window up to there;
 # the deepest rung of the span bounds and a factorial span's density depth are
 # set from that horizon. Probes scan only to their certificate's depth.
@@ -631,8 +630,8 @@ def _shared_depth(a: _Side, b: _Side, q: int, h_from: int) -> int:
     last explicit bucket, and V(m) >= Ea(m) - |Eb| = D once m reaches a's,
     for a against b'. The depth also lies past each infinite bucket's cut,
     a's [j, j] or b's [j - q, j + q], so the scan's last segment starts past
-    every cut, and the probe and the located check read their V-minimum
-    over the same buckets up to the depth. At most h_from."""
+    every cut, and its V-minimum, read up to the depth, covers every start
+    of a window that reaches past the depth. At most h_from."""
     ends = [j + q + 1 for j in (a.last_aleph, b.last_aleph) if j is not None]
     if a.last_explicit is not None:
         ends.append(a.last_explicit)
@@ -703,13 +702,11 @@ def _horizon(a: _Side, b: _Side, q: int) -> int:
 
 
 def _scan_to(
-    a: _Side, b: _Side, q: int, k_min: Optional[int], h_end: int, v_end: Optional[int] = None
+    a: _Side, b: _Side, q: int, k_min: Optional[int], h_end: int
 ) -> tuple[Optional[tuple[int, int]], int]:
-    """(first violating window of a, last segment's V-minimum) over the
-    windows not settled by infinite buckets that end at or below h_end. With
-    v_end set (at most h_end), the V-minimum is the one a scan to v_end
-    reads: that of the last segment starting at or below v_end, read up to
-    v_end, or 0 when no window of that segment starts at or below it."""
+    """(lexicographically first violating window of a, last segment's
+    V-minimum) over the windows not settled by infinite buckets that end at
+    or below h_end."""
     hit = _aleph_coverage(a, b, q, k_min)
     if hit is not None:
         return hit, 0
@@ -748,17 +745,6 @@ def _scan_to(
         got, v_last = _scan_segment(a, b, q, seg_lo, seg_hi, k_min)
         if got is not None:
             return got, 0
-    if v_end is not None:
-        # What a scan to v_end reads: the V-minimum of its last segment,
-        # the last one that starts at or below v_end, cut at v_end.
-        reached = [s for s in segments if s[0] <= v_end]
-        v_last = 0
-        if reached:
-            seg_lo, seg_hi = reached[-1]
-            top = (seg_lo if k_min is None else max(seg_lo, k_min)) - 1
-            end = min(seg_hi, v_end)
-            if top < end:
-                v_last = min(map(sub, a.cum_range(top, end), b.cum_range(top - q, end - q)))
     return None, v_last
 
 
@@ -772,38 +758,37 @@ def _untailed(a: _Side, b: _Side) -> bool:
 
 
 def _check_direction(
-    a: _Side, b: _Side, q: int, k_min: Optional[int], located: bool = False
+    a: _Side, b: _Side, q: int, k_min: Optional[int]
 ) -> Union[None, tuple[int, int], str]:
     """None = every window of a is dominated at widening q; (k, l) = a
     violating window of a; str = a note: the certificate's note alone, or
-    the one its failed bound answers. The probe scans only up to the
-    certificate's depth, and not at all after a note alone. ``located``
-    runs the scan on to the horizon, or to the depth where that lies
-    deeper, so that a refusal reports the first window up to there; it
-    reads the V-minimum at the same depth, and certifies exactly when the
-    probe does."""
+    the one its failed bound answers. The scan runs only up to the
+    certificate's depth, and not at all after a note alone."""
     h_from = _structural_horizon(a, b, q)
     cert = (h_from, None, None) if _untailed(a, b) else _tail_certificate(a, b, q, h_from)
-    h_scan = _horizon(a, b, q) if located else None
     if isinstance(cert, str):
-        hit = None if h_scan is None else _scan_to(a, b, q, k_min, h_scan)[0]
-        return cert if hit is None else hit
+        return cert
     depth, bound, fallback = cert
-    h_end = depth if h_scan is None else max(h_scan, depth)
-    v_end = depth if bound is not None and h_end > depth else None
-    hit, v_last = _scan_to(a, b, q, k_min, h_end, v_end)
+    hit, v_last = _scan_to(a, b, q, k_min, depth)
     if hit is not None:
         return hit
     if bound is None or (k_min is not None and k_min > depth) or v_last >= bound:
         return None
     if isinstance(fallback, str):
         return fallback
-    return _scan_to(a, b, q, k_min, fallback)[0] if fallback > h_end else None
+    return _scan_to(a, b, q, k_min, fallback)[0] if fallback > depth else None
 
 
-def _locate(a: _Side, b: _Side, q: int, k_min: Optional[int]) -> Union[None, tuple[int, int], str]:
-    """The check a refusal reports from: _check_direction, located."""
-    return _check_direction(a, b, q, k_min, located=True)
+def _locate(
+    a: _Side, b: _Side, q: int, k_min: Optional[int], got: Union[tuple[int, int], str]
+) -> Union[tuple[int, int], str]:
+    """What a refusal reports, given the probe's refusal ``got``: the first
+    window up to the horizon, or ``got`` when it is a window that comes
+    first (a span depth can lie past the horizon), else got's note. The
+    windows that end at or below a depth are those a scan to it sees, so
+    this is the first window of one scan to the deeper of the two."""
+    hit = _scan_to(a, b, q, k_min, _horizon(a, b, q))[0]
+    return min([w for w in (hit, got) if isinstance(w, tuple)], default=got)
 
 
 # ---------------------------------------------------------------------------
@@ -857,14 +842,13 @@ def _certified(sa: _Side, sb: _Side, q: int, k_min: Optional[int]) -> bool:
 
 def _outcome_at(sa: _Side, sb: _Side, q: int, k_min: Optional[int]) -> ConditionOutcome:
     """The full outcome at widening q. A direction the probe does not certify
-    is located: its scan up to the horizon, and past the horizon a stretch
-    when no certificate applies; the first window found wins, else the first
-    note."""
+    is located (_locate), and after a note a stretch past the horizon is
+    scanned; the first window found wins, else the first note."""
     notes = []
     for side, a, b, got in _check_both(sa, sb, q, k_min):
         if got is None:
             continue
-        got = _locate(a, b, q, k_min)
+        got = _locate(a, b, q, k_min, got)
         if isinstance(got, str):
             notes.append(got)
             got = _analytic_violation(a, b, q, k_min)

@@ -622,6 +622,19 @@ def test_main_schema_error_reports_type_and_path(tmp_path, capsys):
     assert "/T/extra" in report["message"]
 
 
+def test_main_reports_a_document_that_nests_too_deeply(tmp_path, capsys):
+    # Parsing recurses once per nesting level: 3,000 direct sums pass the
+    # interpreter's recursion limit, which is an input error (exit 2), not a
+    # relation that fails (exit 1).
+    leaf = json.dumps(UNIT)
+    t = '{"kind": "direct_sum", "right": %s, "left": ' % leaf * 3000 + leaf + "}" * 3000
+    path = write_input(tmp_path, '{"T": %s, "S": %s}' % (t, leaf))
+    assert main(["decide", "--input", path]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1
+    assert json.loads(out[0]) == {"error": "SpecError", "message": "the document nests too deeply"}
+
+
 def test_main_delta_out_of_range_reports_error_type(tmp_path, capsys):
     path = write_input(tmp_path, doc(UNIT, UNIT, delta="7/4"))
     assert main(["decide", "--input", path]) == 2

@@ -1126,7 +1126,7 @@ def test_span_depth_counts_once_per_halving(monkeypatch, h_lo):
 
 
 def test_left_violation_skips_the_right_direction(monkeypatch):
-    # The probe and the located check both run _check_direction, on sa alone.
+    # Only the probe runs _check_direction, on sa alone; _locate reads its refusal.
     directions = []
     real = conditions._check_direction
     monkeypatch.setattr(
@@ -1135,7 +1135,7 @@ def test_left_violation_skips_the_right_direction(monkeypatch):
     sa, sb = conditions._prepare(meas({0: Finite(2)}), meas({3: Finite(2)}))
     out = conditions._outcome_at(sa, sb, 1, None)
     assert out.violation.side == "left"
-    assert directions == [sa, sa]
+    assert directions == [sa]
 
 
 def aleph_plus_diagonals(*tails):
@@ -1275,14 +1275,14 @@ def test_identical_generators_certify_from_the_scan_minimum(pair, q, k_min):
         starts.append(seg_lo)
         return scan(x, y, q, seg_lo, seg_hi, k_min)
 
-    def compared_locate(x, y, q, k_min):
-        got = locate(x, y, q, k_min)
-        if not isinstance(got, tuple):  # no window up to the horizon: the certificate answered
+    def compared_locate(x, y, q, k_min, refused):
+        got = locate(x, y, q, k_min, refused)
+        if isinstance(got, str):  # no window up to the horizon: the certificate's note stands
             h_scan = conditions._horizon(x, y, q)
             # With no window start left in the scan, the last segment began at k_min.
             seg_lo = starts[-1] if k_min is None or k_min <= h_scan else k_min
             # Whatever the remainder scan certified, the scan minimum certifies.
-            assert got is None or not remainder_certifies(x, y, q, seg_lo, k_min)
+            assert not remainder_certifies(x, y, q, seg_lo, k_min)
         return got
 
     sa, sb = conditions._prepare(a, b)
@@ -1344,8 +1344,7 @@ def test_identical_constant_rays_certify_only_dominated_directions():
         lo = min([0, *t.buckets, *s.buckets, *(x.start for x in t.atoms)]) - q - 2
         hi = conditions._horizon(sa, sb, q) + 60
         for (f, g), (a, b) in zip(((t, s), (s, t)), ((sa, sb), (sb, sa))):
-            probe = conditions._check_direction(a, b, q, k_min)
-            assert (probe is None) == (conditions._locate(a, b, q, k_min) is None)
+            probe = probe_against_one_scan(a, b, q, k_min)
             if probe is None:
                 assert first_failing_start(f, g, q, lo, hi, k_min) is None
             depth, bound, _ = conditions._tail_certificate(a, b, q, conditions._structural_horizon(a, b, q))
@@ -1399,17 +1398,15 @@ def first_failing_start(f, g, q, lo, hi, k_min=None):
 def test_covered_generators_certify_only_dominated_directions(pair, q):
     # S holds T's tail atoms and more, so T against S can take the covered
     # certificate; S against T never can. Wherever either direction's probe
-    # certifies, no window fails well past the horizon, and the probe
-    # certifies exactly when the located check does.
+    # certifies, no window fails well past the horizon, nor in one scan to
+    # the deeper of the horizon and the certificate's depth.
     t, s = pair
     sa, sb = conditions._prepare(t, s)
     lo = min([0, *t.buckets, *s.buckets, *(x.first_bucket(HALF) for x in s.atoms)]) - q - 2
     hi = conditions._horizon(sa, sb, q) + 60
     for (f, g), (a, b) in zip(((t, s), (s, t)), ((sa, sb), (sb, sa))):
         for k_min in (None, 0, 3, 10, 40):
-            probe = conditions._check_direction(a, b, q, k_min)
-            assert (probe is None) == (conditions._locate(a, b, q, k_min) is None)
-            if probe is None:
+            if probe_against_one_scan(a, b, q, k_min) is None:
                 assert first_failing_start(f, g, q, lo, hi, k_min) is None
 
 
@@ -1445,8 +1442,7 @@ def test_covered_constant_rays_keep_the_density_certificate():
     depth = conditions._shared_depth(sa, sb, 1, h_from)
     assert conditions._scan_to(sa, sb, 1, None, depth) == (None, -2)
     assert conditions._tail_certificate(sa, sb, 1, h_from) == (h_from, None, None)
-    assert conditions._check_direction(sa, sb, 1, None) is None
-    assert conditions._locate(sa, sb, 1, None) is None
+    assert probe_against_one_scan(sa, sb, 1, None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -1513,6 +1509,33 @@ def depth_certificate_cases(draw):
     return (t, s, q) if draw(st.booleans()) else (s, t, q)
 
 
+def certificate_depth(a, b, q):
+    """The depth _check_direction scans to for a against b at q, or None
+    after a note alone."""
+    h_from = conditions._structural_horizon(a, b, q)
+    if conditions._untailed(a, b):
+        return h_from
+    cert = conditions._tail_certificate(a, b, q, h_from)
+    return None if isinstance(cert, str) else cert[0]
+
+
+def first_window_to_depth(a, b, q, k_min):
+    """The first window of one scan to the deeper of the horizon and the
+    certificate's depth, the windows a refusal is located among."""
+    h_end = conditions._horizon(a, b, q)
+    depth = certificate_depth(a, b, q)
+    return conditions._scan_to(a, b, q, k_min, h_end if depth is None else max(h_end, depth))[0]
+
+
+def probe_against_one_scan(a, b, q, k_min):
+    """_check_direction's answer; wherever it certifies, one scan to the
+    deeper of the horizon and the certificate's depth finds no window."""
+    probe = conditions._check_direction(a, b, q, k_min)
+    if probe is None:
+        assert first_window_to_depth(a, b, q, k_min) is None
+    return probe
+
+
 def certificate_branch(a, b, q):
     """Which certificate _check_direction takes for a against b at q."""
     if conditions._untailed(a, b):
@@ -1542,8 +1565,7 @@ def test_probe_certifies_exactly_when_the_located_check_does():
         for a, b in ((sa, sb), (sb, sa)):
             branches[certificate_branch(a, b, q)] += 1
             for k_min in (None, 0, 3, 10, 40):
-                probe = conditions._check_direction(a, b, q, k_min)
-                assert (probe is None) == (conditions._locate(a, b, q, k_min) is None)
+                probe_against_one_scan(a, b, q, k_min)
 
     check()
     checked = sum(branches.values())
@@ -1607,7 +1629,7 @@ def bounded_density_cases(draw):
 
 def test_bounded_density_probes_certify_exactly_when_the_located_check_does():
     # The bounded-density certificate gives the depth h_from, so its probes
-    # scan only that far; the located check scans on to the horizon.
+    # scan only that far; _locate's scan runs on to the horizon.
     outcomes = Counter()
 
     @given(bounded_density_cases())
@@ -1618,14 +1640,45 @@ def test_bounded_density_probes_certify_exactly_when_the_located_check_does():
         h_from = conditions._structural_horizon(a, b, q)
         branch = conditions._tail_certificate(a, b, q, h_from) == (h_from, None, None)
         for k_min in (None, 0, 3, 10, 40):
-            probe = conditions._check_direction(a, b, q, k_min)
-            assert (probe is None) == (conditions._locate(a, b, q, k_min) is None)
+            probe = probe_against_one_scan(a, b, q, k_min)
             outcomes[branch, probe is None] += 1
 
     check()
     checked = sum(outcomes.values())
     for key in ((True, True), (True, False), (False, False)):
         assert outcomes[key] >= checked // 25, outcomes
+
+
+def test_a_refusal_is_located_to_the_first_window_of_one_scan():
+    # _locate takes the probe's refusal and scans only to the horizon. What
+    # it reports must be the first window of one scan to the deeper of the
+    # horizon and the certificate's depth, or the probe's note when that
+    # scan finds none; a window the probe found is always among its windows.
+    located = Counter()
+
+    @given(
+        st.one_of(depth_certificate_cases(), bounded_density_cases()),
+        st.sampled_from([None, 0, 3, 8, 12]),
+    )
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def check(case, k_min):
+        t, s, q = case
+        sa, sb = conditions._prepare(t, s)
+        for a, b in ((sa, sb), (sb, sa)):
+            got = conditions._check_direction(a, b, q, k_min)
+            if got is None:
+                continue
+            reported = conditions._locate(a, b, q, k_min, got)
+            first = first_window_to_depth(a, b, q, k_min)
+            assert first is not None or isinstance(got, str)
+            assert reported == (got if first is None else first)
+            kind = {str: "note", tuple: "window"}
+            located[kind[type(got)], kind[type(reported)]] += 1
+
+    check()
+    checked = sum(located.values())
+    for key in (("window", "window"), ("note", "window"), ("note", "note")):
+        assert located[key] >= checked // 25, located
 
 
 @pytest.mark.parametrize("q", [1, 2, 4])
@@ -1640,16 +1693,18 @@ def test_factorial_spans_keep_the_located_check_at_small_delta(q):
     a, b = conditions._prepare(t, s)
     h_from = conditions._structural_horizon(a, b, q)
     assert conditions._tail_certificate(a, b, q, h_from) == (conditions._horizon(a, b, q), None, None)
-    window = conditions._locate(a, b, q, 10)
-    assert window is not None and window[0] >= 10
-    assert conditions._check_direction(a, b, q, 10) is not None
+    got = conditions._check_direction(a, b, q, 10)
+    assert got is not None
+    window = conditions._locate(a, b, q, 10, got)
+    assert isinstance(window, tuple) and window[0] >= 10
 
 
 def test_a_span_depth_past_the_horizon_is_scanned_to(monkeypatch):
     # 1/n against (1 + 2^-200)/(4n) from n = 12, with S's eleven values at
     # bucket 4 for the eleven terms its span lacks: the span bound holds from
-    # depth 200, past the horizon 169. The probe and the located check both
-    # scan to that depth before they certify, not to the horizon.
+    # depth 200, past the horizon 169. The probe scans to that depth before
+    # it certifies, not to the horizon; a refusal is located by a scan to
+    # the horizon, and a window the probe found past it is reported as is.
     t = meas({-1: ALEPH0}, (SeqRay(SeqSpan(PowerSeq(F(1), F(1)))),))
     y = PowerSeq((1 + F(1, 2**200)) / 4, F(1))
     s = meas({-1: ALEPH0, 4: Finite(11)}, (SeqRay(SeqSpan(y, 12)),))
@@ -1660,15 +1715,28 @@ def test_a_span_depth_past_the_horizon_is_scanned_to(monkeypatch):
     ends = []
     scan = conditions._scan_to
 
-    def recording(a, b, q, k_min, h_end, *rest):
+    def recording(a, b, q, k_min, h_end):
         ends.append(h_end)
-        return scan(a, b, q, k_min, h_end, *rest)
+        return scan(a, b, q, k_min, h_end)
 
     monkeypatch.setattr(conditions, "_scan_to", recording)
     assert conditions._check_direction(a, b, 2, None) is None
-    assert conditions._locate(a, b, 2, None) is None
-    assert ends == [200, 200]
+    assert ends == [200]
     assert a.base + len(a.cum) > 200 and b.base + len(b.cum) > 202
+    assert conditions._locate(a, b, 2, None, (180, 3)) == (180, 3)
+    assert conditions._locate(a, b, 2, None, "a note") == "a note"
+    assert ends == [200, 169, 169]
+
+
+def test_a_refusal_reports_the_first_of_the_two_windows():
+    # _locate's scan to the horizon finds [-3, 0] first. A probe's window
+    # that ends past the horizon is among the windows of a longer scan, and
+    # is reported only where it comes first.
+    sa, sb = conditions._prepare(meas({0: Finite(2)}), meas({3: Finite(2)}))
+    assert conditions._scan_to(sa, sb, 1, None, conditions._horizon(sa, sb, 1))[0] == (-3, 4)
+    assert conditions._locate(sa, sb, 1, None, (-4, 400)) == (-4, 400)
+    assert conditions._locate(sa, sb, 1, None, (-3, 400)) == (-3, 4)
+    assert conditions._locate(sa, sb, 1, None, "a note") == (-3, 4)
 
 
 def certifying_sides(monkeypatch, t, s, q_max):
@@ -1743,8 +1811,7 @@ def test_identical_generators_scan_past_the_last_infinite_bucket():
         h_from = conditions._structural_horizon(a, b, q)
         # Past the depth: D = 2, and the density fallback from h_from.
         assert conditions._tail_certificate(a, b, q, h_from) == (50 + q + 1, 2, h_from)
-        assert conditions._check_direction(a, b, q, None) is None
-        assert conditions._locate(a, b, q, None) is None
+        assert probe_against_one_scan(a, b, q, None) is None
 
 
 def test_a_depth_short_of_the_last_cut_refuses_what_h_from_certifies(monkeypatch):
@@ -1775,9 +1842,11 @@ def test_a_depth_short_of_the_last_cut_refuses_what_h_from_certifies(monkeypatch
 def test_a_short_depth_is_read_alike_by_the_probe_and_the_located_check(monkeypatch):
     # The patched depths of the test above end below the last segment's
     # start (explicit_only) or inside the infinite bucket's cut
-    # (inside_the_cut). The located check scans on to the horizon and must
-    # read the V-minimum the probe reads at that depth: over the last
-    # segment that starts at or below it, up to it.
+    # (inside_the_cut). Only the probe reads the V-minimum there. From q = 2
+    # on it refuses T against S with the note, and _locate, scanning on to
+    # the horizon, finds no window and reports that note; at q = 1 T's
+    # window [-3, 10] fails and is reported as the probe found it. S against
+    # T certifies at every q.
     t, s = aleph_after_surplus()
     a, b = conditions._prepare(t, s)
     real = conditions._tail_certificate
@@ -1794,10 +1863,10 @@ def test_a_short_depth_is_read_alike_by_the_probe_and_the_located_check(monkeypa
     for tail_certificate in (explicit_only, inside_the_cut):
         monkeypatch.setattr(conditions, "_tail_certificate", tail_certificate)
         for q in range(1, 9):
-            for x, y in ((a, b), (b, a)):
-                probe = conditions._check_direction(x, y, q, None)
-                located = conditions._locate(x, y, q, None)
-                assert (probe is None) == (located is None), (tail_certificate.__name__, q)
+            probe = conditions._check_direction(a, b, q, None)
+            assert probe == (note if q > 1 else (-3, 14)), (tail_certificate.__name__, q)
+            assert conditions._locate(a, b, q, None, probe) == probe
+            assert probe_against_one_scan(b, a, q, None) is None
 
 
 @pytest.mark.parametrize("q_max", [32, 40, 48])
