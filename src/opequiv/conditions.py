@@ -19,19 +19,26 @@ per-bucket density against b's constant rays), the bound the scan's
 V-minimum must reach there, and the note a failed bound answers; or a note
 alone when no certificate can apply. One probe decides whether a
 widening certifies, scanning only up to that depth, often the last explicit
-bucket plus the widening, or not at all after a note alone. A refusal at
-q_max is then only located: it reports the first window up to a fixed
-horizon, or the probe's own window where that comes first; after a note it
-is scanned past the horizon for a re-checkable window, raising
-UnsupportedTailError, rather than guessing, when none turns up.
+bucket plus the widening, or not at all after a note alone.
+
+The search for the least widening first reads the single-bucket covering
+floor, below which no widening certifies, and probes the widening just
+above it (at N = 1 in the cutoff form): a holding pair is mostly decided
+by that one probe. Only when it refuses does the q_max check run, and then
+the galloping searches over q and N. A refusal at q_max is only located:
+it reports the first window up to a fixed horizon, or the probe's own
+window where that comes first; after a note it is scanned past the horizon
+for a re-checkable window, raising UnsupportedTailError, rather than
+guessing, when none turns up.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate, repeat
+from math import inf
 from operator import add, mul, sub
 from typing import Optional, Union
 
@@ -226,14 +233,6 @@ class _Side:
             self._grow(hi)
         zeros = [0] * max(0, min(hi + 1, base) - lo)
         return zeros + self.cum[max(lo - base, 0) : max(hi - base + 1, 0)]
-
-    def grown_count(self, lo: int, hi: int) -> Optional[int]:
-        """Finite count in buckets [lo, hi], or None when the array does not
-        reach hi yet; unlike ``cum_range`` it never grows the array."""
-        cum, top, below = self.cum, hi - self.base, lo - 1 - self.base
-        if top >= len(cum):
-            return None
-        return (cum[top] if top >= 0 else 0) - (cum[below] if below >= 0 else 0)
 
     def aleph_at_or_reaching(self, lo: int, hi: int) -> Optional[int]:
         """Highest infinite level present in buckets [lo, hi], if any."""
@@ -868,38 +867,76 @@ def _prepare(a: BucketMeasure, b: BucketMeasure) -> tuple[_Side, _Side]:
 
 
 # The search takes certification to be monotone in q (widening only adds
-# content to b's windows): when q_max is not certified, no smaller q is, and
-# the refusal carries q_max's note. Presence is monotone in N as well (larger
-# N sees fewer windows). The q search gallops from the covering floor below,
-# the N search from 1 (tails.least_true).
+# content to b's windows) and in N (larger N sees fewer windows). It reads
+# the covering floor below first, which needs no check, and probes the
+# widening just above it at N = 1: most holding pairs certify there, and no
+# smaller (q, N) can. Only when that probe refuses does the q_max check run:
+# when q_max is not certified, no smaller q is, and the refusal carries
+# q_max's note. Then q gallops up from the floor, and N from 1
+# (tails.least_true).
 
 
 def _covering_floor(sa: _Side, sb: _Side, q_max: int, k_min: Optional[int]) -> int:
-    """A widening f >= 0 such that no q <= f certifies, once q_max has.
+    """A widening f < q_max such that no q <= f certifies, read before any
+    check.
 
     Each explicit finite bucket j (j >= k_min) makes [j, j] a window of its
-    side, which the other side's [j - q, j + q] must cover: by an infinite
-    bucket in reach, or by at least as many finite values. The least such q
-    is bucket j's covering radius r_j, and the floor is max(r_j) - 1. Reads
-    only counts the q_max check has grown; a count it has not grown covers.
+    side x, which the other side y's [j - q, j + q] must cover: by an
+    infinite bucket in reach, or by at least as many finite values. The
+    least such q is bucket j's covering radius r_j, and the floor is
+    max(r_j) - 1. The counts are exact: x's array is grown to its last such
+    bucket, y's to that bucket + q_max - 1, but not to y's infinite ray,
+    which covers every window that reaches it. A bucket at or past either
+    side's infinite ray is skipped: it is infinite on x, or covered at q = 1
+    by y's ray. A radius reaching q_max ends the reading. So no more is
+    counted than a certified q_max check counts, which scans each direction
+    past x's last explicit bucket; a refused one can stop at its first
+    window, and the two early answers below read no count at all.
+
+    The floor is q_max - 1, before any count is read, in two cases where no
+    q <= q_max certifies. An infinite bucket of either side is not covered
+    at q_max. Or every finite tail atom of both sides is a constant ray, y
+    has no infinite ray, and x's constant rays hold more per bucket than
+    y's: a window of length L past all structure then holds about cx * L
+    values of x against cy * (L + 2q) of y, more for L large at any q.
     """
+    if _aleph_coverage(sa, sb, q_max, k_min) is not None:
+        return q_max - 1
+    if _aleph_coverage(sb, sa, q_max, k_min) is not None:
+        return q_max - 1
+    if all(k == "const" for side in (sa, sb) for k, _ in side.densities):
+        ca, cb = (sum(v for _, v in side.densities) for side in (sa, sb))
+        if (ca > cb and sb.aleph_ray_start is None) or (cb > ca and sa.aleph_ray_start is None):
+            return q_max - 1
     best = 1  # the largest radius so far
     for x, y in ((sa, sb), (sb, sa)):
-        for j in x.finite_explicit:
-            if k_min is not None and j < k_min:
+        js = sorted(x.finite_explicit)
+        end = min([s for s in (x.aleph_ray_start, y.aleph_ray_start) if s is not None], default=inf)
+        js = js[0 if k_min is None else bisect_left(js, k_min) : bisect_left(js, end)]
+        if not js:
+            continue
+        top = js[-1] + q_max - 1  # the last bucket of y read
+        if y.aleph_ray_start is not None:
+            top = min(top, y.aleph_ray_start - 1)
+        x0, y0 = js[0] - 1, js[0] - q_max
+        xl, yl = x.cum_range(x0, js[-1]), y.cum_range(y0, top)
+
+        def covered(q: int) -> bool:
+            h = j + q
+            return h > top or yl[h - y0] - yl[j - q - 1 - y0] >= need
+
+        for j in js:
+            need = xl[j - x0] - xl[j - 1 - x0]
+            h = j + best
+            if h > top or yl[h - y0] - yl[j - best - 1 - y0] >= need:
                 continue
-            need = x.grown_count(j, j)
-            if need is not None and not _bucket_covered(y, j, need, best):
-                best = least_true(partial(_bucket_covered, y, j, need), best, q_max)
+            # y's nearest infinite bucket covers j from its distance on.
+            reach = min([q_max] + [abs(p - j) for p, _ in y.aleph_points])
+            if reach > best:
+                best = least_true(covered, best, reach)
+                if best == q_max:
+                    return q_max - 1
     return best - 1
-
-
-def _bucket_covered(y: _Side, j: int, need: int, q: int) -> bool:
-    """Whether y's [j - q, j + q] covers a count of ``need`` at bucket j: by
-    at least as many finite values (or a count the q_max check has not
-    grown), or by an infinite bucket in reach. The count is read first."""
-    got = y.grown_count(j - q, j + q)
-    return got is None or got >= need or y.aleph_at_or_reaching(j - q, j + q) is not None
 
 
 def _search(
@@ -908,17 +945,22 @@ def _search(
     """The least certified q, then (in the cutoff form, n_max set) the least
     N at that q."""
     sa, sb = _prepare(a, b)
-    # A violation at the loosest widening certifies failure for every q.
-    worst = _outcome_at(sa, sb, q_max, n_max)
-    if worst.violation is not None:
-        return replace(worst, n_cutoff=n_max)
-    if worst.unsupported is not None:
-        raise UnsupportedTailError(worst.unsupported)
     floor = _covering_floor(sa, sb, q_max, n_max)
-    q = least_true(lambda q: _certified(sa, sb, q, n_max), floor, q_max)
-    n = None
-    if n_max is not None:
-        n = least_true(lambda n: _certified(sa, sb, q, n), 0, n_max)
+    first = floor + 1
+    q, n = first, (None if n_max is None else 1)
+    if first == q_max or not _certified(sa, sb, q, n):
+        # A violation at the loosest widening certifies failure for every q.
+        worst = _outcome_at(sa, sb, q_max, n_max)
+        if worst.violation is not None:
+            return replace(worst, n_cutoff=n_max)
+        if worst.unsupported is not None:
+            raise UnsupportedTailError(worst.unsupported)
+        # Any probe refused (first, N = 1): the strong form's q gallops from
+        # first, the cutoff form's from the floor, and N from 1 when q is first.
+        lo = first if n_max is None else floor
+        q = least_true(lambda q: _certified(sa, sb, q, n_max), lo, q_max)
+        if n_max is not None:
+            n = least_true(lambda n: _certified(sa, sb, q, n), int(q == first < q_max), n_max)
     return ConditionOutcome(delta_prime=pow_delta(sa.delta, q), n_cutoff=n, q_used=q)
 
 

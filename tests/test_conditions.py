@@ -1,10 +1,12 @@
 """Tests for the window-domination conditions on bucket measures."""
 
+import json
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import accumulate, islice
 from operator import add, sub
+from pathlib import Path
 
 import pytest
 import test_acceptance as acceptance
@@ -40,7 +42,7 @@ from opequiv import (
     lemma_s_tilde_consistency,
     modulus_data,
 )
-from opequiv import _matchcore_py, conditions, engine, tails
+from opequiv import _matchcore_py, cli, conditions, engine, tails
 from opequiv.tails import _floor_log, pow_delta, ratio_root_lower, sparse_rule_count
 
 HALF = F(1, 2)
@@ -612,8 +614,9 @@ def test_galloping_search_matches_linear_on_acceptance_generators(monkeypatch):
 
 
 def test_uncertified_q_max_refuses_with_its_own_note(monkeypatch):
-    # No certificate at q_max: the search stops after that one check, and the
-    # refusal carries the note the linear search ends with.
+    # No certificate: the floor probe at q = 1 refuses, the search stops
+    # after the one q_max check that follows, and the refusal carries the
+    # note the linear search ends with.
     a = meas({}, atoms=(GeometricRay(0, 2),))
     b = diag_inverse()
     calls = []
@@ -630,7 +633,7 @@ def test_uncertified_q_max_refuses_with_its_own_note(monkeypatch):
     ):
         calls.clear()
         note = search_result(search, *args)
-        assert calls == [12]
+        assert calls == [1, 12]
         assert isinstance(note, str) and note == search_result(oracle, *args)
 
 
@@ -640,15 +643,20 @@ def test_both_searches_gallop_from_one_then_bisect(monkeypatch):
     monkeypatch.setattr(
         conditions, "_check_both", lambda sa, sb, q, k: calls.append((q, k)) or check(sa, sb, q, k)
     )
-    # Infinite points five buckets apart certify from q = 5 on.
+    # Infinite points five buckets apart certify from q = 5 on. The floor is
+    # 0, so the probe at q = 1 comes first, then q_max, then the gallop from
+    # the refused q = 1.
     out = condition_s_outcome(meas({0: ALEPH0}), meas({5: ALEPH0}), q_max=16)
     assert out.q_used == 5
-    assert [q for q, _ in calls] == [16, 1, 2, 4, 8, 6, 5]
-    # One value at bucket 3 against nothing: q = 1 holds from N = 4 on.
+    assert [q for q, _ in calls] == [1, 16, 2, 3, 5, 4]
+    # One value at bucket 3 against nothing: q = 1 holds from N = 4 on. The
+    # probe (1, 1) refuses, q lands on 1 at N = n_max, and N gallops from the
+    # refused N = 1, so (1, 1) is not checked twice.
     calls.clear()
     out = condition_s_tilde_outcome(meas({3: Finite(1)}), meas({}), q_max=16, n_max=16)
     assert (out.q_used, out.n_cutoff) == (1, 4)
-    assert calls == [(16, 16), (1, 16), (1, 1), (1, 2), (1, 4), (1, 3)]
+    assert calls == [(1, 1), (16, 16), (1, 16), (1, 2), (1, 3), (1, 5), (1, 4)]
+    assert len(set(calls)) == len(calls)
 
 
 cutoff_measures = st.builds(
@@ -724,11 +732,12 @@ def test_covering_floor_is_never_certified(pair, q_max, n_max):
 
 
 @pytest.mark.parametrize("q_max", [32, 40, 48])
-def test_shifted_block_needs_two_widenings(monkeypatch, q_max):
+def test_shifted_block_is_decided_by_one_check(monkeypatch, q_max):
     # The window-scan benchmark's shape: a 16-bucket block shifted by
     # q_max - 1 against itself, an infinite bucket at -1 and the same
     # geometric ray on each side. Only q_max - 1 covers the block's last
-    # bucket, so the floor is q_max - 2 and the q search checks once.
+    # bucket, so the floor is q_max - 2, and its probe at q_max - 1 (N = 1
+    # in the cutoff form) certifies: no q_max check and no gallop follow.
     calls = []
     check = conditions._check_both
     monkeypatch.setattr(
@@ -743,11 +752,138 @@ def test_shifted_block_needs_two_widenings(monkeypatch, q_max):
 
     t, s = side(k0), side(k0 + shift)
     assert condition_s_outcome(t, s, q_max).q_used == q_max - 1
-    assert calls == [(q_max, None), (q_max - 1, None)]
+    assert calls == [(q_max - 1, None)]
     calls.clear()
     out = condition_s_tilde_outcome(t, s, q_max, 16)
     assert (out.q_used, out.n_cutoff) == (q_max - 1, 1)
-    assert calls == [(q_max, 16), (q_max - 1, 16), (q_max - 1, 1)]
+    assert calls == [(q_max - 1, 1)]
+
+
+@st.composite
+def window_scan_pairs(draw):
+    """(a, b, q_max) shaped like the window-scan benchmark's pairs: a block
+    of 1-6 counts and its shift by 0..q_max on the other side, an infinite
+    bucket at -1 on both sides, identical or different constant or
+    geometric rays past the blocks, and at times one heavy bucket."""
+    q_max = draw(st.integers(1, 24))
+    block = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+    k0, shift = draw(st.integers(0, q_max + 8)), draw(st.integers(0, q_max))
+    sides = [{-1: ALEPH0, **{at + i: Finite(c) for i, c in enumerate(block)}} for at in (k0, k0 + shift)]
+    ray_at = k0 + shift + len(block) + draw(st.integers(0, q_max + 8))
+    constant = [ConstantRay(ray_at, Finite(c)) for c in (1, 2, 3)]
+    rays = st.sampled_from([None, *constant, GeometricRay(ray_at, 2), GeometricRay(ray_at, 3)])
+    atoms = [draw(rays)]
+    atoms.append(atoms[0] if draw(st.booleans()) else draw(rays))
+    if draw(st.booleans()):
+        at = draw(st.integers(k0, ray_at))
+        heavy = sides[draw(st.integers(0, 1))]
+        heavy[at] = Finite(heavy.get(at, Finite(0)).n + draw(st.integers(50, 500)))
+    a, b = (meas(c, () if r is None else (r,)) for c, r in zip(sides, atoms))
+    return (a, b, q_max) if draw(st.booleans()) else (b, a, q_max)
+
+
+def cum_lengths_after(search, *args):
+    """search_result of the search, and the final len(cum) of each side it
+    made, in the order it made them."""
+    made = []
+    prepare = conditions._prepare
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conditions, "_prepare", lambda a, b: made.extend(prepare(a, b)) or made[-2:])
+        result = search_result(search, *args)
+    return result, [len(side.cum) for side in made]
+
+
+@given(window_scan_pairs(), st.sampled_from([None, 1, 8, 24, 64]))
+@settings(max_examples=150, deadline=None)
+def test_floor_probe_search_matches_linear_and_grows_no_further(pair, n_max):
+    # The floor probe answers as the linear search does, in both relations,
+    # and leaves no count array longer than the linear search's.
+    a, b, q_max = pair
+    if n_max is None:
+        search, linear, args = condition_s_outcome, linear_s, (a, b, q_max)
+    else:
+        search, linear, args = condition_s_tilde_outcome, linear_s_tilde, (a, b, q_max, n_max)
+    got, grown = cum_lengths_after(search, *args)
+    want, oracle_grown = cum_lengths_after(linear, *args)
+    assert got == want
+    assert len(grown) == len(oracle_grown) == 2
+    assert all(map(int.__le__, grown, oracle_grown))
+
+
+@given(window_scan_pairs(), st.sampled_from([None, 1, 8, 24, 64]))
+@settings(max_examples=150, deadline=None)
+def test_covering_floor_is_sound_on_fresh_sides(pair, k_min):
+    # No widening at or below the floor certifies, read on sides no check
+    # has grown; where the density rule sets the floor, no q < q_max holds.
+    a, b, q_max = pair
+    sa, sb = conditions._prepare(a, b)
+    f = conditions._covering_floor(sa, sb, q_max, k_min)
+    assert 0 <= f < q_max
+    if f >= 1:
+        assert not conditions._certified(sa, sb, f, k_min)
+    dens = [sum(v for _, v in side.densities) for side in (sa, sb)]
+    constant = all(k == "const" for side in (sa, sb) for k, _ in side.densities)
+    if constant and dens[0] != dens[1]:
+        assert f == q_max - 1
+        got = search_result(linear_s, a, b, q_max)
+        assert isinstance(got, str) or (got[0] == q_max and got[2] is not None)
+
+
+def test_a_floor_set_by_an_infinite_bucket_or_a_denser_ray_counts_nothing(monkeypatch):
+    # A pair refused on an infinite bucket alone, and a denser constant ray:
+    # the floor is q_max - 1 without a count, so no probe runs, and the q_max
+    # check starts on both count arrays as _prepare made them.
+    block = {40 + i: Finite(c) for i, c in enumerate([3, 1, 6, 2])}
+    ray = (ConstantRay(60, Finite(1)),)
+    dense = (ConstantRay(60, Finite(2)),)
+    calls = []
+    check = conditions._check_both
+    monkeypatch.setattr(
+        conditions,
+        "_check_both",
+        lambda sa, sb, q, k: calls.append((q, len(sa.cum), len(sb.cum))) or check(sa, sb, q, k),
+    )
+    for a, b in (
+        (meas({30: ALEPH0, **block}, ray), meas(block, ray)),
+        (meas({-1: ALEPH0, **block}, dense), meas({-1: ALEPH0, **block}, ray)),
+    ):
+        sa, sb = conditions._prepare(a, b)
+        for k_min in (None, 4):
+            assert conditions._covering_floor(sa, sb, 16, k_min) == 15
+        assert len(sa.cum) == len(sb.cum) == 1
+        for search, args in (
+            (condition_s_outcome, (a, b, 16)),
+            (condition_s_tilde_outcome, (a, b, 16, 4)),
+        ):
+            calls.clear()
+            assert search(*args).violation is not None
+            assert calls[0] == (16, 1, 1)
+
+
+WINDOW_SCAN = Path(__file__).resolve().parent / "fixtures" / "window-scan"
+
+
+def test_window_scan_documents_make_two_direction_checks_when_they_hold(monkeypatch):
+    # A cost guard without timing: each holding document of the benchmark's
+    # seed-101 window-scan round is decided by the floor probe alone, one
+    # check per direction, and the whole round makes at most 52.
+    counts = []
+    check = conditions._check_direction
+    monkeypatch.setattr(
+        conditions, "_check_direction", lambda *args: counts.append(1) or check(*args)
+    )
+    expected = json.loads((WINDOW_SCAN / "expected.json").read_text(encoding="utf-8"))
+    made = {}
+    for path in sorted(WINDOW_SCAN.glob("*.json")):
+        if path.name == "expected.json":
+            continue
+        counts.clear()
+        _report, _summary, code = cli.run("decide", cli.parse_spec(path.read_text(encoding="utf-8")))
+        assert code == expected[path.stem]["exit_code"]
+        made[path.stem] = (code, len(counts))
+    assert len(made) == 28
+    assert all(n == 2 for code, n in made.values() if code == 0), made
+    assert sum(n for _, n in made.values()) <= 52, made
 
 
 # ---------------------------------------------------------------------------
@@ -1750,8 +1886,9 @@ def certifying_sides(monkeypatch, t, s, q_max):
 
 @pytest.mark.parametrize("q_max", [32, 40, 48])
 def test_certified_shifted_block_counts_stop_past_the_last_explicit_bucket(monkeypatch, q_max):
-    # The window-scan benchmark's shifted block (see test_shifted_block_needs_two_widenings):
-    # identical generators hold from h_from, so no count past it plus q is made.
+    # The window-scan benchmark's shifted block (see
+    # test_shifted_block_is_decided_by_one_check): identical generators hold
+    # from h_from, so no count past it plus q is made.
     block = [3, 1, 6, 2, 5, 5, 1, 4, 2, 6, 3, 1, 2, 4, 6, 1]
     k0, shift = q_max + 6, q_max - 1
     ray = (GeometricRay(k0 + shift + len(block) + q_max + 8, 2),)
@@ -1871,7 +2008,7 @@ def test_a_short_depth_is_read_alike_by_the_probe_and_the_located_check(monkeypa
 
 @pytest.mark.parametrize("q_max", [32, 40, 48])
 def test_shifted_block_probes_stay_below_the_shared_ray(monkeypatch, q_max):
-    # The shape of test_shifted_block_needs_two_widenings: the geometric
+    # The shape of test_shifted_block_is_decided_by_one_check: the geometric
     # ray both sides share starts past every explicit bucket plus q_max, and
     # no probe or q_max check counts it (h_from lies past its start).
     block = [3, 1, 6, 2, 5, 5, 1, 4, 2, 6, 3, 1, 2, 4, 6, 1]
