@@ -16,10 +16,12 @@ count arrays, unbounded tails by one closed-form certificate on the symbolic
 tail atoms (_tail_certificate). It gives the depth from which it holds (a's
 tail generators among b's, one same-family span on each side, or a's bounded
 per-bucket density against b's constant rays), the bound the scan's
-V-minimum must reach there, and the note a failed bound answers; or a note
-alone when no certificate can apply. One probe decides whether a
-widening certifies, scanning only up to that depth, often the last explicit
-bucket plus the widening, or not at all after a note alone.
+V-minimum must reach there, if any, and the note a failed bound answers; or
+a note alone when no certificate can apply. Covered generators whose count
+per bucket never falls need no bound: past the depth U only falls, so the
+scan to it decides alone. One probe decides whether a widening certifies,
+scanning only up to that depth, often the last explicit bucket plus the
+widening, or not at all after a note alone.
 
 The search for the least widening first reads the single-bucket covering
 floor, below which no widening certifies, and probes the widening just
@@ -537,37 +539,36 @@ def _rule_density(atom, delta: Fraction):
 
 def _tail_certificate(
     a: _Side, b: _Side, q: int, h_from: int
-) -> Union[str, tuple[int, Optional[int], Union[None, str, int]]]:
-    """(depth, D, fallback) for a direction whose a has tail atoms, or a note
-    alone when no certificate can apply, whatever the scan finds: the span
-    pair's bound fails even at its deepest rung, or b does not cover a's
-    density. ``fallback`` is what the direction answers when the scan's
-    V-minimum up to the depth falls below D: a note, or the depth h_from,
-    to which the scan runs on, for identical generators that the
-    bounded-density certificate also covers. The depth is at most h_from,
-    behind which every explicit bucket and every ray start lies, except for
-    a span pair, whose depth may lie past the scan horizon, and a factorial
-    span's density depth, the horizon. Identical generators are tried
-    first, and covered ones only where the density certificate fails, so
-    no pair loses a certificate that reads no V-minimum."""
-    # Covered generators: write b = b' + X, X being b's tail atoms beyond
-    # a's. Each widened window of b holds X[k-q..h+q] >= 0 more than that of
-    # b', so a window of (a, b) fails only if the same window of (a, b')
-    # fails. a and b' have identical generators G, and G adds
-    # G(h) - G(h+q) <= 0 to U(h) and G(m) - G(m-q) >= 0 to V(m); past the
-    # depth the explicit buckets are all counted, so U <= D <= V there for
-    # (a, b'), with D = |Ea| - |Eb|. The scan's V is no larger than that of
-    # (a, b'), so its minimum up to the depth >= D, or no window start at or
-    # below the depth, rules out every deeper window. With X not empty, V
-    # may fall below D past the depth, so the minimum is read at the depth.
-    off = a.explicit_total - b.explicit_total
-    if a.generator_key == b.generator_key:
-        # Constant rays alone, when their remainder's V-minimum falls short,
-        # still take the density certificate: b's rays carry a's count.
-        fallback = "identical tail generators but undominated explicit remainder"
-        if all(k == "const" for k, _ in a.densities):
-            fallback = h_from
-        return _shared_depth(a, b, q, h_from), off, fallback
+) -> Union[str, tuple[int, Optional[int], Optional[str]]]:
+    """(depth, D, note) for one direction, or a note alone when no
+    certificate can apply, whatever the scan finds: the span pair's bound
+    fails even at its deepest rung, or b does not cover a's density. The
+    direction answers ``note`` when the scan's V-minimum up to the depth
+    falls below D. The depth is at most h_from, behind which every explicit
+    bucket and every ray start lies, except for a span pair, whose depth may
+    lie past the scan horizon, and a factorial span's density depth, the
+    horizon."""
+    if a.aleph_ray_start is not None or b.aleph_ray_start is not None:
+        # An infinite ray settles every window past its reach.
+        return h_from, None, None
+    if _covers(a, b):
+        # Covered generators: a = Ea + G and b = Eb + G + X, X being b's
+        # tail atoms beyond a's. Past the depth the explicit buckets are all
+        # counted, so with D = |Ea| - |Eb|, a against b' = Eb + G has
+        # U(h) = D - G(h+1..h+q) <= D and V(m) = D + G(m-q+1..m) >= D, and X
+        # only widens b's windows: no window that starts past the depth
+        # fails. Where G's count per bucket never falls (constant rays and
+        # GeometricRays, or no atom at all), U(h) = D - G(h+1..h+q) - X(..h+q)
+        # only falls past the depth, so a window [k, h] with k <= depth < h
+        # fails only if [k, depth] does, and the scan to the depth decides.
+        # Otherwise the scan's V-minimum up to the depth must reach D.
+        depth = _shared_depth(a, b, q, h_from)
+        if all(k in ("const", "exp") for k, _ in a.densities):
+            return depth, None, None
+        note = "identical tail generators but undominated explicit remainder"
+        if a.generator_key != b.generator_key:
+            note = _density_note(a, b)  # never None: b carries a's span or SparseRay
+        return depth, a.explicit_total - b.explicit_total, note
     if len(a.finite_atoms) == len(b.finite_atoms) == len(a.spans) == len(b.spans) == 1:
         # Single same-family sequence spans: exact envelope analytics, with
         # the explicit masses folded in as constant offsets.
@@ -587,7 +588,7 @@ def _tail_certificate(
         if any(isinstance(x.model, FactorialSeq) for x in a.spans):
             return _horizon(a, b, q), None, None
         return h_from, None, None
-    return (_shared_depth(a, b, q, h_from), off, note) if _covers(a, b) else note
+    return note
 
 
 def _density_note(a: _Side, b: _Side) -> Optional[str]:
@@ -599,10 +600,12 @@ def _density_note(a: _Side, b: _Side) -> Optional[str]:
     and b's rays have all started — the scanned part is dominated, and each
     extra bucket of a (at most cap) is paid by one extra bucket of b. A
     growing b (a GeometricRay or a power span) gets no certificate: the pair
-    could not hold anyway, since b -> a is then never certified. The
-    identical-generator and span certificates are symmetric, b's growth
-    keeps it out of this one, and an infinite ray settles both directions
-    before any certificate."""
+    could not hold anyway, since b -> a is then never certified. The span
+    certificate is symmetric, b's growth keeps it out of this one, and an
+    infinite ray settles both directions before any certificate. Covered
+    generators take their own certificate first; it asks for this note only
+    where a holds a span or a SparseRay, which b then carries too, so the
+    note is never None there."""
     da, db = a.densities, b.densities
     if all(k in ("const", "sparse", "bounded") for k, _ in da):
         cap = sum(v for _, v in da)
@@ -629,8 +632,10 @@ def _shared_depth(a: _Side, b: _Side, q: int, h_from: int) -> int:
     last explicit bucket, and V(m) >= Ea(m) - |Eb| = D once m reaches a's,
     for a against b'. The depth also lies past each infinite bucket's cut,
     a's [j, j] or b's [j - q, j + q], so the scan's last segment starts past
-    every cut, and its V-minimum, read up to the depth, covers every start
-    of a window that reaches past the depth. At most h_from."""
+    every cut and ends at the depth: a window that reaches past the depth
+    starts in it, where its V-minimum is read, and where U only falls past
+    the depth, the window fails only if its part up to the depth, which the
+    scan checks, does. At most h_from."""
     ends = [j + q + 1 for j in (a.last_aleph, b.last_aleph) if j is not None]
     if a.last_explicit is not None:
         ends.append(a.last_explicit)
@@ -747,15 +752,6 @@ def _scan_to(
     return None, v_last
 
 
-def _untailed(a: _Side, b: _Side) -> bool:
-    """Whether no window of a past h_from needs a tail certificate: an
-    infinite ray settles every window past its reach, or a's count stops
-    growing at its last explicit bucket. In the second case U only falls
-    past h_from, so a window [k, h] with k <= h_from < h fails only if
-    [k, h_from] does, and one with k > h_from never fails (U(h) <= V(k-1))."""
-    return a.aleph_ray_start is not None or b.aleph_ray_start is not None or not a.finite_atoms
-
-
 def _check_direction(
     a: _Side, b: _Side, q: int, k_min: Optional[int]
 ) -> Union[None, tuple[int, int], str]:
@@ -763,19 +759,16 @@ def _check_direction(
     violating window of a; str = a note: the certificate's note alone, or
     the one its failed bound answers. The scan runs only up to the
     certificate's depth, and not at all after a note alone."""
-    h_from = _structural_horizon(a, b, q)
-    cert = (h_from, None, None) if _untailed(a, b) else _tail_certificate(a, b, q, h_from)
+    cert = _tail_certificate(a, b, q, _structural_horizon(a, b, q))
     if isinstance(cert, str):
         return cert
-    depth, bound, fallback = cert
+    depth, bound, note = cert
     hit, v_last = _scan_to(a, b, q, k_min, depth)
     if hit is not None:
         return hit
     if bound is None or (k_min is not None and k_min > depth) or v_last >= bound:
         return None
-    if isinstance(fallback, str):
-        return fallback
-    return _scan_to(a, b, q, k_min, fallback)[0] if fallback > depth else None
+    return note
 
 
 def _locate(

@@ -17,6 +17,7 @@ from opequiv import (
     ALEPH0,
     Aleph,
     BucketMeasure,
+    Buckets,
     CompactDiagonal,
     ConstantRay,
     DeltaMismatchError,
@@ -1434,11 +1435,11 @@ def test_identical_generators_certify_from_the_scan_minimum(pair, q, k_min):
 
 
 @pytest.mark.parametrize("q_max", [1, 4, 64])
-def test_identical_constant_rays_fall_back_to_the_density_certificate(q_max):
+def test_identical_constant_rays_certify_from_the_scan_alone(q_max):
     # T's three values at 8 against S's two at 2: at q = 1, V(7) = 16 - 16 = 0
-    # lies below |Ea| - |Eb| = 1, so the identical-generator bound fails. S's
-    # two values per bucket cover T's two, so the bounded-density certificate
-    # holds once the scan to h_from finds no window, in both forms.
+    # lies below |Ea| - |Eb| = 1, but the shared rays' count per bucket never
+    # falls, so U only falls past the depth and the scan to it decides: no
+    # window fails, in both forms.
     ray = (ConstantRay(0, Finite(2)),)
     t, s = meas({8: Finite(3)}, ray), meas({2: Finite(2)}, ray)
     out = condition_s_outcome(t, s, q_max)
@@ -1466,10 +1467,10 @@ def identical_constant_ray_pairs(draw):
 
 
 def test_identical_constant_rays_certify_only_dominated_directions():
-    # Wherever a direction certifies, by the identical-generator bound or by
-    # the density certificate after it fails, a brute-force recount well
-    # past the horizon finds no failing window; the fallback certifies a
-    # share of the directions.
+    # Identical constant rays take the covered certificate, which reads no
+    # V-minimum. Wherever a direction certifies, a brute-force recount well
+    # past the horizon finds no failing window; a share of the directions
+    # whose V-minimum at the depth falls below |Ea| - |Eb| still certify.
     outcomes = Counter()
 
     @given(identical_constant_ray_pairs())
@@ -1484,7 +1485,9 @@ def test_identical_constant_rays_certify_only_dominated_directions():
             if probe is None:
                 assert first_failing_start(f, g, q, lo, hi, k_min) is None
             depth, bound, _ = conditions._tail_certificate(a, b, q, conditions._structural_horizon(a, b, q))
-            short = (k_min is None or k_min <= depth) and conditions._scan_to(a, b, q, k_min, depth)[1] < bound
+            assert bound is None
+            v_last = conditions._scan_to(a, b, q, k_min, depth)[1]
+            short = (k_min is None or k_min <= depth) and v_last < a.explicit_total - b.explicit_total
             outcomes[short, probe is None] += 1
 
     check()
@@ -1509,19 +1512,22 @@ def test_cutoff_past_the_scan_horizon_leaves_no_window_for_the_remainder():
 def first_failing_start(f, g, q, lo, hi, k_min=None):
     """Brute force: the least k of a window [k, h] of f, lo <= k <= h <= hi
     and k >= k_min, that holds more than g's [k - q, h + q], or None. Counts
-    come bucket by bucket from ``BucketMeasure.window_count``; aleph0, the
-    only infinite level drawn, counts 10^30 in f and 10^40 in g, so a
-    window of g holding one covers any window of f, and one of f holding
-    one exceeds any finite window of g."""
-
-    def counts(m, lo, hi, aleph):
-        got = (m.window_count(j, j) for j in range(lo, hi + 1))
-        return [aleph if isinstance(c, Aleph) else c.n for c in got]
-
+    come bucket by bucket from ``BucketMeasure.window_count``. aleph0, the
+    only infinite level drawn, counts more than all the finite counts read
+    together in f, and more than all of f's range in g, so a window of g
+    holding one covers any window of f, and one of f holding one exceeds
+    any finite window of g."""
     if k_min is not None:
         lo = max(lo, k_min)
-    cf = list(accumulate(counts(f, lo, hi, 10**30), initial=0))  # cf[i]: f over [lo, lo + i - 1]
-    cg = list(accumulate(counts(g, lo - q, hi + q, 10**40), initial=0))  # from lo - q
+    fc = [f.window_count(j, j) for j in range(lo, hi + 1)]
+    gc = [g.window_count(j, j) for j in range(lo - q, hi + q + 1)]
+    finite = 1 + sum(c.n for c in fc + gc if not isinstance(c, Aleph))
+
+    def counts(got, aleph):
+        return [aleph if isinstance(c, Aleph) else c.n for c in got]
+
+    cf = list(accumulate(counts(fc, finite), initial=0))  # cf[i]: f over [lo, lo + i - 1]
+    cg = list(accumulate(counts(gc, finite * (len(fc) + 1)), initial=0))  # from lo - q
     # [k, h] fails iff u[h - lo] > v[k - lo], as in the scan's U and V.
     u = [cf[i + 1] - cg[i + 1 + 2 * q] for i in range(hi - lo + 1)]
     v = [cf[i] - cg[i] for i in range(hi - lo + 1)]
@@ -1553,11 +1559,9 @@ def test_covered_generators_take_the_certificate_on_a_share_of_pairs():
     @settings(max_examples=200, deadline=None, derandomize=True)
     def check(pair, q):
         sa, sb = conditions._prepare(*pair)
-        if conditions._untailed(sa, sb) or conditions._density_note(sa, sb) is None:
-            branches["other"] += 1
-        else:
-            certified = conditions._check_direction(sa, sb, q, None) is None
-            branches["certified" if certified else "refused"] += 1
+        assert conditions._covers(sa, sb)
+        certified = conditions._check_direction(sa, sb, q, None) is None
+        branches["certified" if certified else "refused"] += 1
 
     check()
     checked = sum(branches.values())
@@ -1565,11 +1569,11 @@ def test_covered_generators_take_the_certificate_on_a_share_of_pairs():
     assert branches["refused"] >= checked // 25, branches
 
 
-def test_covered_constant_rays_keep_the_density_certificate():
-    # T's ray is among S's, but the covered certificate's V-minimum, -2,
-    # lies below T's explicit surplus of 1. S's constant rays cover T's
-    # density of 1 per bucket, and that certificate needs no V-minimum: it
-    # is tried first, as before covered generators certified.
+def test_covered_constant_rays_certify_from_the_shared_depth():
+    # T's ray is among S's, and the V-minimum at the shared depth, -2, lies
+    # below T's explicit surplus of 1. The ray's count per bucket never
+    # falls, so the covered certificate reads no V-minimum: it holds from
+    # the shared depth, short of h_from.
     t = meas({0: Finite(1)}, (ConstantRay(0, Finite(1)),))
     s = meas({}, (ConstantRay(-3, Finite(1)), ConstantRay(0, Finite(1))))
     sa, sb = conditions._prepare(t, s)
@@ -1577,8 +1581,129 @@ def test_covered_constant_rays_keep_the_density_certificate():
     assert conditions._covers(sa, sb) and not conditions._covers(sb, sa)
     depth = conditions._shared_depth(sa, sb, 1, h_from)
     assert conditions._scan_to(sa, sb, 1, None, depth) == (None, -2)
-    assert conditions._tail_certificate(sa, sb, 1, h_from) == (h_from, None, None)
+    assert depth < h_from
+    assert conditions._tail_certificate(sa, sb, 1, h_from) == (depth, None, None)
     assert probe_against_one_scan(sa, sb, 1, None) is None
+
+
+# ---------------------------------------------------------------------------
+# Covered generators whose count per bucket never falls: the scan alone
+
+
+def holds_to(t, s, q, k_min=None, hi=90):
+    """Brute force: no window of T or S up to bucket ``hi`` fails at widening q."""
+    lo = min([0, *t.buckets, *s.buckets, *(x.first_bucket(HALF) for x in t.atoms + s.atoms)]) - q - 2
+    return all(first_failing_start(f, g, q, lo, hi, k_min) is None for f, g in ((t, s), (s, t)))
+
+
+def test_shared_geometric_ray_decides_past_the_surplus_of_explicit_values():
+    # S's four explicit values against T's two, beside the same GeometricRay
+    # from 8: S against T has D = 2, more than the V-minimum at the shared
+    # depth, but the ray's count per bucket never falls, so the scan to the
+    # depth decides. Widening 3 fails and 4 holds.
+    ray = (GeometricRay(8, 2),)
+    t = meas({-1: ALEPH0, 12: Finite(1), 13: Finite(1)}, ray)
+    s = meas({-1: ALEPH0, 3: Finite(1), 10: Finite(3)}, ray)
+    assert not holds_to(t, s, 3) and holds_to(t, s, 4)
+    verdict = engine.decide_strong(Buckets(t), Buckets(s), engine.EngineParams(q_max=7))
+    assert (verdict.holds, verdict.reason) == (True, "Established")
+    assert verdict.witness.delta_prime == F(1, 16)
+
+
+def test_shared_geometric_and_constant_rays_take_the_least_cutoff_widening():
+    # The same GeometricRay and constant ray on both sides: in the cutoff
+    # form, widening 1 already holds from N = 1, while no widening, 0, fails.
+    rays = (GeometricRay(0, 2), ConstantRay(2, Finite(1)))
+    t = meas({-1: ALEPH0, 5: Finite(3), 13: Finite(3)}, rays)
+    s = meas({-1: ALEPH0, 4: Finite(2), 12: Finite(1)}, rays)
+    assert not holds_to(t, s, 0, k_min=1) and holds_to(t, s, 1, k_min=1)
+    params = engine.EngineParams(q_max=2, n_max=2)
+    verdict = engine.decide_extension_family(Buckets(t), Buckets(s), params)
+    assert verdict.holds and verdict.reason == "Established"
+    assert verdict.notes[:2] == ("window cutoff N=1", "widening exponent 1")
+
+
+def test_identical_constant_rays_scan_once_to_the_shared_depth(monkeypatch):
+    # T = {8: 3} against S = {2: 2}, with the same two values per bucket
+    # from 0, at q = 1: the shared depth is 8, and the one scan ends there.
+    ray = (ConstantRay(0, Finite(2)),)
+    sa, sb = conditions._prepare(meas({8: Finite(3)}, ray), meas({2: Finite(2)}, ray))
+    scanned = []
+    scan = conditions._scan_segment
+
+    def recording(a, b, q, seg_lo, seg_hi, k_min):
+        scanned.append((seg_lo, seg_hi))
+        return scan(a, b, q, seg_lo, seg_hi, k_min)
+
+    monkeypatch.setattr(conditions, "_scan_segment", recording)
+    assert conditions._check_direction(sa, sb, 1, None) is None
+    assert scanned == [(-3, 8)]
+
+
+never_falling_atoms = st.one_of(
+    st.builds(ConstantRay, st.integers(-4, 14), st.integers(1, 3).map(Finite)),
+    st.builds(GeometricRay, st.integers(0, 14), st.integers(2, 3)),
+)
+extra_atoms = st.one_of(
+    never_falling_atoms,
+    st.builds(SparseRay, st.integers(0, 14)),
+    st.builds(
+        lambda model, start: SeqRay(SeqSpan(model, start)),
+        st.sampled_from([PowerSeq(F(1), F(1)), GeometricSeq(F(1), F(1, 3)), FactorialSeq()]),
+        st.integers(1, 6),
+    ),
+)
+
+
+@st.composite
+def never_falling_covered_pairs(draw):
+    """(T, S, q): T's tail is one or two constant rays or GeometricRays, and
+    S holds them and maybe one more atom: a constant ray, a GeometricRay, a
+    SparseRay or a sequence span. Each side has 0-4 explicit buckets of 1-4
+    values in -4..14 and aleph0 at -1 on both sides, at up to two buckets in
+    -6..30 on each side, or nowhere; q is 1..4."""
+    atoms = draw(st.lists(never_falling_atoms, min_size=1, max_size=2))
+    more = draw(st.lists(extra_atoms, max_size=1))
+    alephs = draw(st.sampled_from(["none", "shared", "drawn"]))
+
+    def side(atoms):
+        buckets = draw(st.dictionaries(st.integers(-4, 14), st.integers(1, 4).map(Finite), max_size=4))
+        if alephs == "shared":
+            buckets[-1] = ALEPH0
+        elif alephs == "drawn":
+            buckets.update((j, ALEPH0) for j in draw(st.lists(st.integers(-6, 30), max_size=2)))
+        return meas(buckets, tuple(atoms))
+
+    return side(atoms), side(atoms + more), draw(st.integers(1, 4))
+
+
+def test_never_falling_covered_generators_decide_from_the_scan():
+    # Wherever the direction certifies, a recount to 60 buckets past the
+    # certificate's depth finds no failing window; every window it returns
+    # fails; it never answers a note.
+    outcomes = Counter()
+
+    @given(never_falling_covered_pairs(), st.sampled_from([None, 0, 3, 8]))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def check(case, k_min):
+        t, s, q = case
+        a, b = conditions._prepare(t, s)
+        depth, bound, _ = conditions._tail_certificate(a, b, q, conditions._structural_horizon(a, b, q))
+        assert bound is None
+        got = conditions._check_direction(a, b, q, k_min)
+        assert not isinstance(got, str)
+        if got is None:
+            lo = min([0, *t.buckets, *s.buckets, *(x.first_bucket(HALF) for x in s.atoms)]) - q - 2
+            assert first_failing_start(t, s, q, lo, depth + 60, k_min) is None
+        else:
+            k, length = got
+            assert k_min is None or k >= k_min
+            assert not card_le(t.window_count(k, k + length - 1), s.window_count(k - q, k + length - 1 + q))
+        outcomes["certified" if got is None else "window"] += 1
+
+    check()
+    checked = sum(outcomes.values())
+    assert min(outcomes["certified"], outcomes["window"]) >= checked // 10, outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -1648,10 +1773,7 @@ def depth_certificate_cases(draw):
 def certificate_depth(a, b, q):
     """The depth _check_direction scans to for a against b at q, or None
     after a note alone."""
-    h_from = conditions._structural_horizon(a, b, q)
-    if conditions._untailed(a, b):
-        return h_from
-    cert = conditions._tail_certificate(a, b, q, h_from)
+    cert = conditions._tail_certificate(a, b, q, conditions._structural_horizon(a, b, q))
     return None if isinstance(cert, str) else cert[0]
 
 
@@ -1673,20 +1795,17 @@ def probe_against_one_scan(a, b, q, k_min):
 
 
 def certificate_branch(a, b, q):
-    """Which certificate _check_direction takes for a against b at q."""
-    if conditions._untailed(a, b):
-        return "untailed"
+    """Which certificate _check_direction takes for a against b at q, on
+    sides without an infinite ray."""
     h_from = conditions._structural_horizon(a, b, q)
     cert = conditions._tail_certificate(a, b, q, h_from)
     if isinstance(cert, str):
         return "note"
     depth, bound, _ = cert
-    if bound is None:
-        return "density" if depth == h_from else "factorial density"
-    if a.generator_key == b.generator_key:
-        return "identical"
     if conditions._covers(a, b):
         return "covered"
+    if bound is None:
+        return "density" if depth == h_from else "factorial density"
     return "span past the horizon" if depth > conditions._horizon(a, b, q) else "span"
 
 
@@ -1705,16 +1824,7 @@ def test_probe_certifies_exactly_when_the_located_check_does():
 
     check()
     checked = sum(branches.values())
-    for branch in (
-        "identical",
-        "covered",
-        "span",
-        "span past the horizon",
-        "density",
-        "factorial density",
-        "note",
-        "untailed",
-    ):
+    for branch in ("covered", "span", "span past the horizon", "density", "factorial density", "note"):
         assert branches[branch] >= checked // 25, branches
 
 
@@ -1946,8 +2056,8 @@ def test_identical_generators_scan_past_the_last_infinite_bucket():
     a, b = conditions._prepare(t, s)
     for q in (2, 3, 5):
         h_from = conditions._structural_horizon(a, b, q)
-        # Past the depth: D = 2, and the density fallback from h_from.
-        assert conditions._tail_certificate(a, b, q, h_from) == (50 + q + 1, 2, h_from)
+        # The shared ray's count never falls: no bound past the depth.
+        assert conditions._tail_certificate(a, b, q, h_from) == (50 + q + 1, None, None)
         assert probe_against_one_scan(a, b, q, None) is None
 
 
@@ -1956,19 +2066,19 @@ def test_a_depth_short_of_the_last_cut_refuses_what_h_from_certifies(monkeypatch
     # [50 - q, 50 + q], leaves the scan's last segment below the infinite
     # bucket, whose V-minimum 0 lies below D = 2, so every probe fails, and
     # the q_max check, which reads the V-minimum at the same depth, fails
-    # with them. The constant rays' density fallback would mask that, so the
-    # patched certificates answer the note instead.
+    # with them. The shared ray's count never falls, so the real certificate
+    # reads no V-minimum; the patched ones supply D = |Ea| - |Eb| and the
+    # note themselves.
     t, s = aleph_after_surplus()
     real = conditions._tail_certificate
     note = "identical tail generators but undominated explicit remainder"
 
     def explicit_only(a, b, q, h_from):
         ends = [*a.finite_explicit, *(j - q for j in b.finite_explicit)]
-        return max(ends, default=h_from), real(a, b, q, h_from)[1], note
+        return max(ends, default=h_from), a.explicit_total - b.explicit_total, note
 
     def inside_the_cut(a, b, q, h_from):
-        depth, bound, _ = real(a, b, q, h_from)
-        return depth - 1, bound, note
+        return real(a, b, q, h_from)[0] - 1, a.explicit_total - b.explicit_total, note
 
     for tail_certificate in (explicit_only, inside_the_cut):
         monkeypatch.setattr(conditions, "_tail_certificate", tail_certificate)
@@ -1991,11 +2101,10 @@ def test_a_short_depth_is_read_alike_by_the_probe_and_the_located_check(monkeypa
 
     def explicit_only(a, b, q, h_from):
         ends = [*a.finite_explicit, *(j - q for j in b.finite_explicit)]
-        return max(ends, default=h_from), real(a, b, q, h_from)[1], note
+        return max(ends, default=h_from), a.explicit_total - b.explicit_total, note
 
     def inside_the_cut(a, b, q, h_from):
-        depth, bound, _ = real(a, b, q, h_from)
-        return depth - 1, bound, note
+        return real(a, b, q, h_from)[0] - 1, a.explicit_total - b.explicit_total, note
 
     for tail_certificate in (explicit_only, inside_the_cut):
         monkeypatch.setattr(conditions, "_tail_certificate", tail_certificate)
